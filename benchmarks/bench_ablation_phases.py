@@ -42,8 +42,8 @@ def test_two_phase_sends_fewer_bytes(once):
             client_window=2, measure_ns=30 * MILLISECOND,
         )
         return (
-            two_phase.network_bytes / max(1, two_phase.completed),
-            three_phase.network_bytes / max(1, three_phase.completed),
+            two_phase.bytes_sent / max(1, two_phase.completed),
+            three_phase.bytes_sent / max(1, three_phase.completed),
         )
 
     two_bytes, three_bytes = once(run)

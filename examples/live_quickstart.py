@@ -12,11 +12,10 @@ Run with::
     PYTHONPATH=src python examples/live_quickstart.py
 """
 
-import asyncio
-
 from repro.clients.workload import Workload
 from repro.runtime.deployment import SERVICES, DeploymentSpec
 from repro.runtime.live import build_live_deployment
+from repro.runtime.run import run
 
 
 class ScriptedWorkload(Workload):
@@ -31,7 +30,7 @@ class ScriptedWorkload(Workload):
         return ("get", "greeting"), 0
 
 
-async def main():
+def main():
     # --- the cluster, from the same spec a benchmark would use -------------
     script = [
         ("put", "greeting", "hello, hybrid world"),
@@ -54,33 +53,21 @@ async def main():
     assert spec.service in SERVICES
     deployment = build_live_deployment(spec)  # base_port=0: OS-assigned ports
 
-    # --- run ---------------------------------------------------------------
-    async with deployment.transport:
-        for replica in deployment.replicas:
-            replica.start()
-        deployment.start_clients()
+    # --- run: at most 10 s, stop once 20 requests completed ------------------
+    result = run(deployment, duration_ns=10_000_000_000, requests=20)
 
-        client = deployment.clients[0]
-        deadline = asyncio.get_running_loop().time() + 10.0
-        while client.completed < 20 and asyncio.get_running_loop().time() < deadline:
-            await asyncio.sleep(0.02)
-        deployment.stop_clients()
-        await asyncio.sleep(0.1)  # drain in-flight replies
-        deployment.kernel.cancel_all()
-
-        print(f"client completed {client.completed} requests over TCP")
-        print(f"last result: {client.last_result!r}")
-        print(f"mean latency: {client.stats.mean_ms:.3f} ms")
-        print()
-        print("replica agreement:")
-        for replica in deployment.replicas:
-            digest = replica.service.state_digestible()
-            print(f"  {replica.replica_id}: view={replica.current_view} state={digest}")
-        states = {str(r.service.state_digestible()) for r in deployment.replicas}
-        assert len(states) == 1, "replicas diverged!"
-        frames = deployment.transport.messages_sent
-        print(f"\nall replicas hold identical state — {frames} frames crossed real sockets.")
+    client = deployment.clients[0]
+    print(f"client completed {result.completed} requests over TCP")
+    print(f"last result: {client.last_result!r}")
+    print(f"mean latency: {result.latency_ms:.3f} ms")
+    print()
+    print("replica agreement:")
+    for replica in deployment.replicas:
+        digest = replica.service.state_digestible()
+        print(f"  {replica.replica_id}: view={replica.current_view} state={digest}")
+    assert not result.diverged, "replicas diverged!"
+    print(f"\nall replicas hold identical state — {result.bytes_sent} bytes crossed real sockets.")
 
 
 if __name__ == "__main__":
-    asyncio.run(main())
+    main()

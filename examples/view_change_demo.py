@@ -16,7 +16,7 @@ from repro.clients.workload import NullWorkload
 from repro.core.config import ReplicaGroupConfig
 from repro.core.replica import build_group
 from repro.services.counter import CounterService
-from repro.sim.faults import Partition
+from repro.chaos import Partition
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.process import Endpoint

@@ -22,7 +22,6 @@ from repro.chaos.filters import (
     CrashWindows,
     Equivocate,
     ExtraDelay,
-    FaultPlan,
     LossRate,
     Partition,
     Reorder,
@@ -37,7 +36,6 @@ __all__ = [
     "CrashWindows",
     "Equivocate",
     "ExtraDelay",
-    "FaultPlan",
     "LossRate",
     "Partition",
     "Reorder",

@@ -270,7 +270,3 @@ class ChaosPlan:
         if total_delay or replacement is not None:
             return FilterDecision(extra_delay_ns=total_delay, replace=replacement)
         return DELIVER
-
-
-# Historical name from repro.sim.faults; same composition semantics.
-FaultPlan = ChaosPlan

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.runtime.benchmark import BenchmarkResult, run_benchmark
 from repro.runtime.deployment import DeploymentSpec, build_deployment
+from repro.runtime.run import RunResult, run
 from repro.sim.tracing import NULL_TRACER, Tracer
 
 MILLISECOND = 1_000_000
@@ -57,7 +57,7 @@ def measure_point(
     warmup_ns: int = 50 * MILLISECOND,
     measure_ns: int = 60 * MILLISECOND,
     load_factor: float = 1.0,
-) -> BenchmarkResult:
+) -> RunResult:
     """Run one saturation (or fixed-load) benchmark point."""
     default_clients, default_window = SATURATION_CLIENTS[(protocol, 16 if batch_size > 1 else 1)]
     clients = num_clients if num_clients is not None else max(4, int(default_clients * load_factor))
@@ -80,4 +80,4 @@ def measure_point(
         workload_factory=workload_factory,
     )
     deployment = build_deployment(spec, tracer=_trace_sink)
-    return run_benchmark(deployment, warmup_ns=warmup_ns, measure_ns=measure_ns)
+    return run(deployment, duration_ns=measure_ns, warmup_ns=warmup_ns)

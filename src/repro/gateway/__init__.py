@@ -15,40 +15,19 @@ Pieces:
   process, admission queue, in-flight window, read leases, pooling;
 * :class:`~repro.gateway.gateway.GatewayStage` — the stage that runs on
   a gateway node (sim and live share it, like every other stage);
-* :mod:`~repro.gateway.runner` — one-call sim/live runs returning a
-  :class:`~repro.loadgen.slo.SLOReport`;
 * :mod:`~repro.gateway.cli` — the ``repro-gateway`` entry point.
+
+A deployment whose spec carries a ``GatewayConfig`` runs through the one
+driver, :func:`repro.runtime.run.run`, whose result then holds the
+gateways' :class:`~repro.loadgen.slo.SLOReport`.
 """
 
 from repro.gateway.config import GatewayConfig
 from repro.gateway.gateway import GatewaySession, GatewayStage, GatewayStats
-
-# The runner closes a cycle (it builds deployments, and the deployment
-# builder imports this package for GatewayConfig/GatewayStage), so its
-# names resolve lazily on first attribute access.
-_RUNNER_EXPORTS = (
-    "GatewayRunResult",
-    "run_gateway_sim",
-    "run_gateway_live",
-    "run_gateway_live_async",
-)
-
-
-def __getattr__(name: str):
-    if name in _RUNNER_EXPORTS:
-        from repro.gateway import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "GatewayConfig",
     "GatewaySession",
     "GatewayStage",
     "GatewayStats",
-    "GatewayRunResult",
-    "run_gateway_sim",
-    "run_gateway_live",
-    "run_gateway_live_async",
 ]

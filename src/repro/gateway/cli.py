@@ -25,10 +25,11 @@ import sys
 
 from repro.clients.workload import CoordinationWorkload, KeyValueWorkload
 from repro.gateway.config import GatewayConfig
-from repro.gateway.runner import run_gateway_live, run_gateway_sim
 from repro.loadgen.arrivals import ARRIVAL_KINDS
-from repro.runtime.deployment import SERVICES, DeploymentSpec
-from repro.runtime.live import LIVE_PROTOCOLS
+from repro.net.peer import PeerConfig
+from repro.runtime.deployment import SERVICES, DeploymentSpec, build_deployment
+from repro.runtime.live import LIVE_PROTOCOLS, build_live_deployment
+from repro.runtime.run import MS, run
 from repro.sim.rand import derive_seed
 
 WORKLOADS = ("null", "kv", "coordination")
@@ -154,19 +155,23 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = _spec_from_args(args)
     if args.mode == "sim":
-        result = run_gateway_sim(spec, duration_ms=args.duration_ms)
+        result = run(build_deployment(spec), duration_ns=args.duration_ms * MS)
     else:
-        result = run_gateway_live(
-            spec, duration_s=args.duration, host=args.host, base_port=args.base_port
+        deployment = build_live_deployment(
+            spec, host=args.host, base_port=args.base_port,
+            peer_config=PeerConfig(pool_size=args.pool),
         )
+        result = run(deployment, duration_ns=int(args.duration * 1e9))
 
     print(result)
     if args.json:
+        report = {"protocol": result.protocol, "mode": result.mode,
+                  "bytes_sent": result.bytes_sent, **result.slo.to_json()}
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.to_json(), fh, indent=2)
+            json.dump(report, fh, indent=2)
             fh.write("\n")
 
-    if result.state_digests and len(set(result.state_digests)) != 1:
+    if result.diverged:
         print("ERROR: replica states diverged", file=sys.stderr)
         return 2
     if result.slo.completed < args.min_completed:

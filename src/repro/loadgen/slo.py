@@ -5,7 +5,9 @@ An open-loop run is judged the way a serving system is judged: goodput
 arrival to completion — queueing delay included — plus how much traffic
 was shed at admission or abandoned after retries.  :class:`SLOReport`
 aggregates those numbers across gateways and renders them for run
-summaries, ``BENCH_*.json`` artifacts, and scenario pass criteria.
+summaries, ``repro-gateway --json`` reports, and scenario pass criteria;
+:func:`repro.runtime.run.run` attaches one to the result of every run
+with gateways.
 """
 
 from __future__ import annotations

@@ -105,7 +105,7 @@ class DeploymentSpec:
 
 @dataclass
 class Deployment:
-    """A built cluster, ready for `repro.runtime.benchmark.run_benchmark`."""
+    """A built cluster, ready for :func:`repro.runtime.run.run`."""
 
     spec: DeploymentSpec
     sim: Simulator

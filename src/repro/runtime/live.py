@@ -20,24 +20,21 @@ DeploymentSpec` so a benchmark configuration can be replayed live without
 translation (simulation-only fields — NIC bandwidth, latency, the
 calibration profile — are ignored).  A process can host the whole group
 (``local_nodes=None``, the default: in-process tasks over localhost
-sockets) or any subset of nodes (process-per-replica mode, used by the
-``repro-live --processes`` runner).
+sockets) or any subset of nodes (one OS process per node, as
+:mod:`repro.scenarios.livenode` runs scenarios with ``run.processes``).
+:func:`repro.runtime.run.run` drives either.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import contextlib
-import json
-import signal
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.clients.client import Client
-from repro.clients.stats import LatencyStats
 from repro.core.config import ReplicaGroupConfig
 from repro.core.replica import HybsterReplica
 from repro.crypto.costs import resolve_profile
@@ -48,12 +45,12 @@ from repro.loadgen.arrivals import make_arrivals
 from repro.net.peer import PeerConfig
 from repro.net.transport import TcpTransport
 from repro.runtime.deployment import SERVICES, DeploymentSpec, _num_pillars, _replica_ids
+from repro.runtime.run import run
 from repro.sim.process import Endpoint
 from repro.sim.rand import derive_seed
 from repro.sim.tracing import NULL_TRACER, Tracer
 
 LIVE_PROTOCOLS = ("hybster-s", "hybster-x")
-DEFAULT_BASE_PORT = 47000
 
 
 # ----------------------------------------------------------------------
@@ -409,167 +406,6 @@ def _wire_peer_addresses(replica: HybsterReplica, config: ReplicaGroupConfig) ->
 
 
 # ----------------------------------------------------------------------
-# Running
-# ----------------------------------------------------------------------
-@dataclass
-class LiveRunResult:
-    """Outcome of one live run (this process's clients)."""
-
-    protocol: str
-    completed: int
-    elapsed_s: float
-    latency: LatencyStats
-    retries: int
-    replica_stats: list[dict] = field(default_factory=list)
-    transport_sent: int = 0
-    transport_dropped: int = 0
-    chaos_dropped: int = 0
-    chaos_delayed: int = 0
-    chaos_injected: int = 0
-    state_digests: list[str] = field(default_factory=list)
-
-    @property
-    def throughput_ops(self) -> float:
-        return self.completed / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "completed": self.completed,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "throughput_ops": round(self.throughput_ops, 1),
-            "mean_latency_ms": round(self.latency.mean_ms, 3) if self.latency.count else None,
-            "latency_ms": self.latency.percentiles_ms() if self.latency.count else None,
-            "retries": self.retries,
-            "transport_sent": self.transport_sent,
-            "transport_dropped": self.transport_dropped,
-            "chaos_dropped": self.chaos_dropped,
-            "chaos_delayed": self.chaos_delayed,
-            "chaos_injected": self.chaos_injected,
-            "state_digests": self.state_digests,
-        }
-
-    def __str__(self) -> str:
-        if self.latency.count:
-            p = self.latency.percentiles_ms()
-            latency = (
-                f"{p['mean']:.3f} ms (p50 {p['p50']:.3f} / p99 {p['p99']:.3f} / "
-                f"p999 {p['p999']:.3f})"
-            )
-        else:
-            latency = "n/a"
-        chaos = ""
-        if self.chaos_dropped or self.chaos_delayed or self.chaos_injected:
-            chaos = (
-                f", chaos: {self.chaos_dropped} dropped / "
-                f"{self.chaos_delayed} delayed / {self.chaos_injected} injected"
-            )
-        return (
-            f"{self.protocol} (live): {self.completed} requests in {self.elapsed_s:.2f} s "
-            f"({self.throughput_ops:.0f} ops/s), mean latency {latency}, "
-            f"{self.transport_sent} frames sent, {self.transport_dropped} dropped"
-            f"{chaos}"
-        )
-
-
-def _collect_result(deployment: LiveDeployment, elapsed_s: float) -> LiveRunResult:
-    latency = LatencyStats()
-    for client in deployment.clients:
-        latency.merge(client.stats)
-    for gateway in deployment.gateways:
-        latency.merge(gateway.stats.latency)
-    return LiveRunResult(
-        protocol=deployment.spec.protocol,
-        completed=deployment.total_completed(),
-        elapsed_s=elapsed_s,
-        latency=latency,
-        retries=sum(client.retries for client in deployment.clients)
-        + sum(gateway.stats.timeouts for gateway in deployment.gateways),
-        replica_stats=[replica.stats() for replica in deployment.replicas],
-        transport_sent=deployment.transport.messages_sent,
-        transport_dropped=deployment.transport.messages_dropped,
-        chaos_dropped=deployment.transport.chaos_dropped,
-        chaos_delayed=deployment.transport.chaos_delayed,
-        chaos_injected=deployment.transport.chaos_injected,
-        state_digests=[
-            str(replica.service.state_digestible()) for replica in deployment.replicas
-        ],
-    )
-
-
-async def run_live(
-    spec: DeploymentSpec,
-    *,
-    target_requests: int = 100,
-    max_duration_s: float = 10.0,
-    tracer: Tracer = NULL_TRACER,
-    host: str = "127.0.0.1",
-    base_port: int = 0,
-) -> LiveRunResult:
-    """Boot the whole group in this process and run until ``target_requests``
-    complete (or ``max_duration_s`` elapses).  The canonical quickstart /
-    smoke-test entry point."""
-    deployment = build_live_deployment(
-        spec, tracer=tracer, host=host, base_port=base_port
-    )
-    started = time.monotonic()
-    try:
-        await deployment.start()
-        deployment.start_clients()
-        while (
-            deployment.total_completed() < target_requests
-            and time.monotonic() - started < max_duration_s
-        ):
-            await asyncio.sleep(0.02)
-        deployment.stop_clients()
-        await asyncio.sleep(0.05)  # let in-flight replies drain
-        return _collect_result(deployment, time.monotonic() - started)
-    finally:
-        await deployment.stop()
-
-
-async def run_live_node(
-    spec: DeploymentSpec,
-    node: str,
-    *,
-    target_requests: int = 0,
-    max_duration_s: float = 30.0,
-    tracer: Tracer = NULL_TRACER,
-    host: str = "127.0.0.1",
-    base_port: int = DEFAULT_BASE_PORT,
-    stop_event: asyncio.Event | None = None,
-) -> LiveRunResult:
-    """Run a single node of the group in this OS process.
-
-    Replica nodes serve until ``stop_event`` fires (the parent's SIGTERM)
-    or ``max_duration_s`` expires; client nodes additionally stop as soon
-    as their share of ``target_requests`` completed.
-    """
-    deployment = build_live_deployment(
-        spec, tracer=tracer, host=host, base_port=base_port, local_nodes=[node]
-    )
-    started = time.monotonic()
-    try:
-        await deployment.start()
-        deployment.start_clients()
-        while time.monotonic() - started < max_duration_s:
-            if stop_event is not None and stop_event.is_set():
-                break
-            if (
-                deployment.clients
-                and target_requests
-                and deployment.total_completed() >= target_requests
-            ):
-                break
-            await asyncio.sleep(0.05)
-        deployment.stop_clients()
-        await asyncio.sleep(0.05)
-        return _collect_result(deployment, time.monotonic() - started)
-    finally:
-        await deployment.stop()
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 def _spec_from_args(args: argparse.Namespace) -> DeploymentSpec:
@@ -589,142 +425,6 @@ def _spec_from_args(args: argparse.Namespace) -> DeploymentSpec:
         seed=args.seed,
         crypto_profile=args.crypto,
     )
-
-
-def _write_trace(tracer: Tracer, path: str, node: str | None = None) -> None:
-    if not path:
-        return
-    target = f"{path}.{node}.jsonl" if node else path
-    tracer.write_jsonl(target)
-
-
-async def _run_group_processes(args: argparse.Namespace) -> int:
-    """Process-per-node mode: spawn one child per replica and client node."""
-    spec = _spec_from_args(args)
-    if args.base_port == 0:
-        args.base_port = DEFAULT_BASE_PORT
-    nodes = list(_replica_ids(spec.protocol)) + [
-        f"clients{j}" for j in range(spec.client_machines)
-    ]
-    children: dict[str, asyncio.subprocess.Process] = {}
-    passthrough = [
-        "--protocol", spec.protocol, "--service", spec.service,
-        "--cores", str(spec.cores), "--batch-size", str(spec.batch_size),
-        "--batch-linger-us", str(spec.batch_linger_ns // 1_000),
-        "--clients", str(spec.num_clients), "--window", str(spec.client_window),
-        "--client-machines", str(spec.client_machines),
-        "--payload-size", str(spec.payload_size),
-        "--checkpoint-interval", str(spec.checkpoint_interval),
-        "--window-size", str(spec.window_size),
-        "--requests", str(args.requests), "--duration", str(args.duration),
-        "--base-port", str(args.base_port), "--host", args.host,
-        "--seed", str(args.seed), "--crypto", spec.crypto_profile,
-    ]
-    if spec.rotation:
-        passthrough.append("--rotation")
-    if args.trace_out:
-        passthrough += ["--trace-out", args.trace_out]
-    try:
-        for node in nodes:
-            children[node] = await asyncio.create_subprocess_exec(
-                sys.executable, "-m", "repro.runtime.live", "--role", "node",
-                "--node", node, *passthrough,
-                stdout=asyncio.subprocess.PIPE,
-            )
-        total = 0
-        for node, child in children.items():
-            if not node.startswith("clients"):
-                continue
-            raw, _ = await asyncio.wait_for(
-                child.communicate(), timeout=args.duration + 15
-            )
-            result = json.loads(raw.decode() or "{}")
-            total += result.get("completed", 0)
-            print(f"{node}: {result}")
-        print(f"total completed across client processes: {total}")
-        return 0 if total >= args.requests else 1
-    finally:
-        for child in children.values():
-            if child.returncode is None:
-                child.terminate()
-        for child in children.values():
-            if child.returncode is None:
-                try:
-                    await asyncio.wait_for(child.wait(), timeout=5)
-                except asyncio.TimeoutError:
-                    child.kill()
-        if args.trace_out:
-            _merge_child_traces(args.trace_out, nodes)
-
-
-def _merge_child_traces(path: str, nodes: list[str]) -> None:
-    import os
-
-    tracers = []
-    for node in nodes:
-        part = f"{path}.{node}.jsonl"
-        if os.path.exists(part):
-            tracers.append(Tracer.load_jsonl(part))
-    if tracers:
-        Tracer.merge(*tracers).write_jsonl(path)
-
-
-async def _amain(args: argparse.Namespace) -> int:
-    tracer = Tracer(enabled=True) if args.trace_out else NULL_TRACER
-    if args.role == "node":
-        # the parent stops replica children with SIGTERM; exit cleanly so
-        # traces and stats still get written
-        stop_event = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(sig, stop_event.set)
-        result = await run_live_node(
-            _spec_from_args(args),
-            args.node,
-            target_requests=_per_node_target(args),
-            max_duration_s=args.duration,
-            tracer=tracer,
-            host=args.host,
-            base_port=args.base_port or DEFAULT_BASE_PORT,
-            stop_event=stop_event,
-        )
-        _write_trace(tracer, args.trace_out, node=args.node)
-        print(json.dumps(result.to_json()))
-        return 0
-    if args.processes:
-        return await _run_group_processes(args)
-    result = await run_live(
-        _spec_from_args(args),
-        target_requests=args.requests,
-        max_duration_s=args.duration,
-        tracer=tracer,
-        host=args.host,
-        base_port=args.base_port,
-    )
-    _write_trace(tracer, args.trace_out)
-    print(result)
-    if result.state_digests and len(set(result.state_digests)) != 1:
-        print("ERROR: replica states diverged", file=sys.stderr)
-        return 2
-    if result.completed < args.requests:
-        print(
-            f"ERROR: only {result.completed}/{args.requests} requests completed "
-            f"within {args.duration:.0f} s",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _per_node_target(args: argparse.Namespace) -> int:
-    """A client process's share of the request target (replicas: unlimited)."""
-    if not args.node.startswith("clients"):
-        return 0
-    # Each client machine hosts an equal share of the clients; stopping at
-    # a proportional share keeps process-mode runs from waiting on the
-    # slowest machine longer than necessary.
-    return max(1, args.requests // max(1, args.client_machines))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -755,19 +455,31 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed for all DeterministicRandom users")
     parser.add_argument("--base-port", type=int, default=0,
-                        help="0 = OS-assigned (single process only)")
+                        help="0 = OS-assigned")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--trace-out", default="",
-                        help="write a JSONL trace (merged across processes)")
-    parser.add_argument("--processes", action="store_true",
-                        help="one OS process per replica / client machine")
-    parser.add_argument("--role", choices=("group", "node"), default="group",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--node", default="", help=argparse.SUPPRESS)
+                        help="write a JSONL trace")
     args = parser.parse_args(argv)
-    if args.role == "node" and not args.node:
-        parser.error("--role node requires --node")
-    return asyncio.run(_amain(args))
+
+    tracer = Tracer(enabled=True) if args.trace_out else NULL_TRACER
+    deployment = build_live_deployment(
+        _spec_from_args(args), tracer=tracer, host=args.host, base_port=args.base_port
+    )
+    result = run(deployment, duration_ns=int(args.duration * 1e9), requests=args.requests)
+    if args.trace_out:
+        tracer.write_jsonl(args.trace_out)
+    print(result)
+    if result.diverged:
+        print("ERROR: replica states diverged", file=sys.stderr)
+        return 2
+    if result.completed < args.requests:
+        print(
+            f"ERROR: only {result.completed}/{args.requests} requests completed "
+            f"within {args.duration:.0f} s",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

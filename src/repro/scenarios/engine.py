@@ -1,26 +1,27 @@
 """Scenario execution: run one spec against the simulator or live TCP.
 
-Both paths are the same shape — build the deployment with tracing on,
-install the scenario's chaos filters on the transport, optionally switch
+Every path is the same shape — build the deployment with tracing on,
+install the scenario's chaos filters on its transport, optionally switch
 off TrInX certificate verification (demonstration scenarios only), run
-the workload, then hand the trace to the safety checker and evaluate the
-pass criteria.  The sim path runs in virtual time and is deterministic
-for a given seed; the live path runs real asyncio processes against the
-wall clock, with the whole group hosted in-process so one transport
-(and hence one filter chain and one tracer) sees all traffic.
+it with the one driver (:mod:`repro.runtime.run`), then hand the trace to
+the safety checker and evaluate the pass criteria.  The sim path runs in
+virtual time and is deterministic for a given seed; the live path hosts
+the whole group in-process against the wall clock, so one transport (and
+hence one filter chain and one tracer) sees all traffic.  With
+``run.processes = true``, :mod:`repro.scenarios.livenode` runs one OS
+process per node instead and merges their results and trace shards.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.chaos import CrashWindows
-from repro.clients.stats import LatencyStats
 from repro.errors import ConfigurationError
 from repro.runtime.deployment import build_deployment
+from repro.runtime.run import RunResult, run, run_async
 from repro.scenarios.safety import SafetyReport, check_safety
 from repro.scenarios.spec import MS, ScenarioSpec
 from repro.sim.tracing import Tracer
@@ -35,35 +36,44 @@ TRACE_CATEGORIES = {
 
 
 @dataclass
-class ScenarioResult:
-    """Outcome of one scenario execution."""
+class ScenarioResult(RunResult):
+    """A :class:`~repro.runtime.run.RunResult` plus the scenario's verdict."""
 
-    name: str
-    mode: str
-    protocol: str
-    completed: int = 0
-    elapsed_ms: float = 0.0
-    mean_latency_ms: float | None = None
-    p50_ms: float | None = None
-    p99_ms: float | None = None
-    p999_ms: float | None = None
-    retries: int = 0
-    shed: int = 0
-    shed_fraction: float | None = None
-    chaos_dropped: int = 0
-    chaos_delayed: int = 0
-    chaos_injected: int = 0
+    name: str = ""
     safety: SafetyReport = field(default_factory=SafetyReport)
     failures: list[str] = field(default_factory=list)
     error: str | None = None
 
-    def set_latency(self, latency: LatencyStats) -> None:
-        if not latency.count:
-            return
-        self.mean_latency_ms = latency.mean_ms
-        self.p50_ms = latency.percentile_ms(50)
-        self.p99_ms = latency.percentile_ms(99)
-        self.p999_ms = latency.percentile_ms(99.9)
+    @property
+    def elapsed_ms(self) -> float:
+        return self.elapsed_ns / MS
+
+    @property
+    def mean_latency_ms(self) -> float | None:
+        return self.latency.mean_ms if self.latency.count else None
+
+    def _percentile_ms(self, p: float) -> float | None:
+        return self.latency.percentile_ms(p) if self.latency.count else None
+
+    @property
+    def p50_ms(self) -> float | None:
+        return self._percentile_ms(50)
+
+    @property
+    def p99_ms(self) -> float | None:
+        return self._percentile_ms(99)
+
+    @property
+    def p999_ms(self) -> float | None:
+        return self._percentile_ms(99.9)
+
+    @property
+    def shed(self) -> int:
+        return self.slo.shed if self.slo is not None else 0
+
+    @property
+    def shed_fraction(self) -> float | None:
+        return self.slo.shed_fraction if self.slo is not None else None
 
     @property
     def passed(self) -> bool:
@@ -76,6 +86,7 @@ class ScenarioResult:
         return "PASS" if self.passed else "FAIL"
 
     def to_json(self) -> dict:
+        """The scenario-matrix artifact's record (read by people)."""
         return {
             "name": self.name,
             "mode": self.mode,
@@ -118,182 +129,89 @@ def run_scenario(
     trace_out: str | None = None,
 ) -> ScenarioResult:
     """Execute one scenario and evaluate its pass criteria."""
+    processes = spec.mode == "live" and spec.processes
     try:
-        if spec.mode == "sim":
-            result = _run_sim(spec, seed_override, trace_out)
-        elif spec.mode == "live" and spec.processes:
+        if processes:
             from repro.scenarios.livenode import run_scenario_processes
 
-            result = asyncio.run(run_scenario_processes(spec, seed_override, trace_out))
-        elif spec.mode == "live":
-            result = asyncio.run(_run_live(spec, seed_override, trace_out))
-        else:  # pragma: no cover - load_scenario validates modes
-            raise ConfigurationError(f"unknown mode {spec.mode!r}")
+            outcome, tracer = asyncio.run(run_scenario_processes(spec, seed_override))
+        else:
+            tracer = Tracer(enabled=True, categories=TRACE_CATEGORIES)
+            outcome = _run_in_process(spec, seed_override, tracer)
     except ConfigurationError as exc:
-        result = ScenarioResult(
-            name=spec.name,
-            mode=spec.mode,
+        return ScenarioResult(
             protocol=spec.deployment.get("protocol", "hybster-x"),
+            mode=spec.mode,
+            name=spec.name,
             error=str(exc),
         )
-    return result
-
-
-# ----------------------------------------------------------------------
-# Simulator path
-# ----------------------------------------------------------------------
-def _run_sim(
-    spec: ScenarioSpec, seed_override: int | None, trace_out: str | None
-) -> ScenarioResult:
-    deployment_spec = spec.deployment_spec(seed_override)
-    tracer = Tracer(enabled=True, categories=TRACE_CATEGORIES)
-    deployment = build_deployment(deployment_spec, tracer=tracer)
-
-    for chaos_filter in spec.build_filters(seed_override):
-        deployment.network.add_filter(chaos_filter)
-    if not spec.trinx_verification:
-        _disable_trinx_verification(deployment.replicas)
-
-    deployment.start_clients()
-    deployment.sim.run(until=spec.duration_ms * MS)
-
-    latency = LatencyStats()
-    for client in deployment.clients:
-        latency.merge(client.stats)
-    for gateway in deployment.gateways:
-        latency.merge(gateway.stats.latency)
-
-    result = ScenarioResult(
-        name=spec.name,
-        mode="sim",
-        protocol=deployment_spec.protocol,
-        completed=deployment.total_completed(),
-        elapsed_ms=deployment.sim.now / MS,
-        retries=sum(client.retries for client in deployment.clients)
-        + sum(gateway.stats.timeouts for gateway in deployment.gateways),
-        chaos_dropped=deployment.network.messages_dropped,
-        chaos_delayed=deployment.network.messages_delayed,
-        chaos_injected=deployment.network.messages_injected,
-    )
-    result.set_latency(latency)
-    _merge_gateway_stats(result, deployment.gateways)
-    _finish(result, spec, tracer, trace_out)
-    return result
-
-
-# ----------------------------------------------------------------------
-# Live path
-# ----------------------------------------------------------------------
-async def _run_live(
-    spec: ScenarioSpec, seed_override: int | None, trace_out: str | None
-) -> ScenarioResult:
-    # imported here: repro.runtime.live pulls in asyncio transport machinery
-    from repro.runtime.live import build_live_deployment
-
-    deployment_spec = spec.deployment_spec(seed_override)
-    tracer = Tracer(enabled=True, categories=TRACE_CATEGORIES)
-    deployment = build_live_deployment(deployment_spec, tracer=tracer, base_port=0)
-
-    chaos_filters = spec.build_filters(seed_override)
-    for chaos_filter in chaos_filters:
-        deployment.transport.add_filter(chaos_filter)
-    if not spec.trinx_verification:
-        _disable_trinx_verification(deployment.replicas)
-
-    started = time.monotonic()
-    try:
-        await deployment.start()
-        _schedule_connection_kills(deployment, chaos_filters)
-        deployment.start_clients()
-        deadline = started + spec.duration_ms / 1_000.0
-        while (
-            deployment.total_completed() < spec.requests
-            and time.monotonic() < deadline
-        ):
-            await asyncio.sleep(0.02)
-        deployment.stop_clients()
-        await asyncio.sleep(0.05)  # let in-flight replies drain
-    finally:
-        await deployment.stop()
-
-    latency = LatencyStats()
-    for client in deployment.clients:
-        latency.merge(client.stats)
-    for gateway in deployment.gateways:
-        latency.merge(gateway.stats.latency)
-
-    result = ScenarioResult(
-        name=spec.name,
-        mode="live",
-        protocol=deployment_spec.protocol,
-        completed=deployment.total_completed(),
-        elapsed_ms=(time.monotonic() - started) * 1_000.0,
-        retries=sum(client.retries for client in deployment.clients)
-        + sum(gateway.stats.timeouts for gateway in deployment.gateways),
-        chaos_dropped=deployment.transport.chaos_dropped,
-        chaos_delayed=deployment.transport.chaos_delayed,
-        chaos_injected=deployment.transport.chaos_injected,
-    )
-    result.set_latency(latency)
-    _merge_gateway_stats(result, deployment.gateways)
-    _finish(result, spec, tracer, trace_out)
-    return result
-
-
-def _schedule_connection_kills(deployment, chaos_filters: list[Any]) -> None:
-    """Sever a crashing node's TCP connections at each window start.
-
-    The CrashWindows filter already swallows traffic; killing the node's
-    live connections on top exercises the transport's reconnect/backoff
-    path — recovery then requires sockets to be re-established, exactly
-    as after a real process crash.
-    """
-    for chaos_filter in chaos_filters:
-        if not isinstance(chaos_filter, CrashWindows):
-            continue
-        for start_ns, _end_ns in chaos_filter.windows:
-            deployment.kernel.schedule(
-                max(0, start_ns - deployment.kernel.now),
-                deployment.transport.drop_connections,
-                chaos_filter.node,
-            )
-
-
-# ----------------------------------------------------------------------
-# Shared epilogue
-# ----------------------------------------------------------------------
-def _merge_gateway_stats(result: ScenarioResult, gateways) -> None:
-    _merge_gateway_counts(
-        result,
-        offered=sum(gateway.stats.offered for gateway in gateways),
-        shed=sum(gateway.stats.shed for gateway in gateways),
-        present=bool(gateways),
-    )
-
-
-def _merge_gateway_counts(
-    result: ScenarioResult, *, offered: int, shed: int, present: bool
-) -> None:
-    if not present:
-        return
-    result.shed = shed
-    result.shed_fraction = shed / offered if offered else 0.0
-
-
-def _disable_trinx_verification(replicas) -> None:
-    for replica in replicas:
-        for pillar in getattr(replica, "pillars", ()):
-            if hasattr(pillar, "verify_trinx"):
-                pillar.verify_trinx = False
-
-
-def _finish(
-    result: ScenarioResult, spec: ScenarioSpec, tracer: Tracer, trace_out: str | None
-) -> None:
+    result = ScenarioResult(name=spec.name, **vars(outcome))
     if trace_out:
         tracer.write_jsonl(trace_out)
     result.safety = check_safety(tracer)
+    if processes and result.diverged:
+        result.failures.append(f"replica states diverged: {sorted(set(result.state_digests))}")
     _evaluate(result, spec)
+    return result
+
+
+def _run_in_process(spec: ScenarioSpec, seed_override: int | None, tracer: Tracer) -> RunResult:
+    deployment_spec = spec.deployment_spec(seed_override)
+    if spec.mode == "sim":
+        deployment = build_deployment(deployment_spec, tracer=tracer)
+        install_faults(spec, deployment, deployment.network, seed_override)
+        # run.requests is a live-only early stop: a sim run covers its duration
+        return run(deployment, duration_ns=spec.duration_ms * MS)
+    # imported here: repro.runtime.live pulls in asyncio transport machinery
+    from repro.runtime.live import build_live_deployment
+
+    deployment = build_live_deployment(deployment_spec, tracer=tracer)
+    return asyncio.run(
+        run_live_scenario(spec, deployment, seed_override, duration_ns=spec.duration_ms * MS)
+    )
+
+
+def install_faults(
+    spec: ScenarioSpec, deployment: Any, net: Any, seed_override: int | None
+) -> list[Any]:
+    """Put the scenario's chaos filters on ``net`` (the deployment's network
+    or transport) and apply its TrInX setting; returns the filters."""
+    chaos_filters = spec.build_filters(seed_override)
+    for chaos_filter in chaos_filters:
+        net.add_filter(chaos_filter)
+    if not spec.trinx_verification:
+        for replica in deployment.replicas:
+            for pillar in getattr(replica, "pillars", ()):
+                if hasattr(pillar, "verify_trinx"):
+                    pillar.verify_trinx = False
+    return chaos_filters
+
+
+async def run_live_scenario(
+    spec: ScenarioSpec,
+    deployment: Any,
+    seed_override: int | None,
+    *,
+    duration_ns: int,
+    stop: asyncio.Event | None = None,
+) -> RunResult:
+    """Install the faults on a live deployment (or one process's share of
+    it) and run it until ``duration_ns`` or ``run.requests`` completions.
+
+    On top of the CrashWindows filter, which already swallows a crashing
+    node's traffic, the node's TCP connections are severed at each window
+    start: recovery then exercises the transport's reconnect/backoff path,
+    exactly as after a real process crash.
+    """
+    chaos_filters = install_faults(spec, deployment, deployment.transport, seed_override)
+    kernel, transport = deployment.kernel, deployment.transport
+    for chaos_filter in chaos_filters:
+        if isinstance(chaos_filter, CrashWindows):
+            for start_ns, _end_ns in chaos_filter.windows:
+                kernel.schedule(
+                    max(0, start_ns - kernel.now), transport.drop_connections, chaos_filter.node
+                )
+    return await run_async(deployment, duration_ns=duration_ns, requests=spec.requests, stop=stop)
 
 
 def _evaluate(result: ScenarioResult, spec: ScenarioSpec) -> None:

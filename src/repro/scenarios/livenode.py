@@ -1,4 +1,4 @@
-"""Process-per-node scenario execution (ROADMAP item 3).
+"""Process-per-node scenario execution.
 
 The in-process live path hosts the whole group on one event loop, which
 keeps things simple but means a Python-level stall in one replica stalls
@@ -16,12 +16,14 @@ sees the traffic its process originates.  (Random filters draw from
 per-process streams, so a multi-process run is not bit-identical to the
 in-process one; the statistical fault load is the same.)
 
+Each child runs its share with the one driver
+(:func:`repro.runtime.run.run_async`) and prints its
+:class:`~repro.runtime.run.RunResult` as JSON — latency reservoir
+included, since percentiles do not compose — and the parent merges them.
 Safety checking is unchanged: each child writes its trace shard, the
 parent merges the shards — the checker orders records by content, not
-wall clock — and runs the same :func:`~repro.scenarios.safety.
-check_safety` over the merged trace.  Latency percentiles survive the
-process boundary because children ship their full
-:class:`~repro.clients.stats.LatencyStats` (reservoir included) as JSON.
+wall clock — and the engine runs the same
+:func:`~repro.scenarios.safety.check_safety` over the merged trace.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ import signal
 import socket
 import sys
 import tempfile
-import time
-from typing import Any
 
-from repro.clients.stats import LatencyStats
 from repro.errors import ConfigurationError
+from repro.runtime.deployment import _replica_ids
+from repro.runtime.run import MS, RunResult
 from repro.sim.tracing import NULL_TRACER, Tracer
 
 # Scan for a free, contiguous port block starting here; stride past the
@@ -47,12 +48,13 @@ from repro.sim.tracing import NULL_TRACER, Tracer
 PORT_SCAN_START = 47200
 PORT_SCAN_STRIDE = 128
 PORT_SCAN_END = 60000
+# Replicas serve until the parent signals them; if no signal comes, they
+# stop by themselves this long after the scenario's duration.
+REPLICA_GRACE_MS = 20_000
 
 
 def _node_ports(spec) -> list[int]:
     """Port *offsets* the live directory will use for ``spec``'s nodes."""
-    from repro.runtime.deployment import _replica_ids
-
     offsets = list(range(len(_replica_ids(spec.protocol))))
     offsets += [64 + j for j in range(spec.client_machines)]
     offsets += [96 + k for k in range(len(spec.gateway_nodes()))]
@@ -84,7 +86,7 @@ def _bindable(port: int) -> bool:
 async def _child_amain(args: argparse.Namespace) -> int:
     from repro.net.peer import PeerConfig
     from repro.runtime.live import build_live_deployment
-    from repro.scenarios.engine import TRACE_CATEGORIES, _disable_trinx_verification, _schedule_connection_kills
+    from repro.scenarios.engine import TRACE_CATEGORIES, run_live_scenario
     from repro.scenarios.spec import load_scenario
 
     spec = load_scenario(args.spec)
@@ -100,65 +102,24 @@ async def _child_amain(args: argparse.Namespace) -> int:
         local_nodes=[args.node],
         peer_config=PeerConfig(pool_size=pool),
     )
-    chaos_filters = spec.build_filters(seed)
-    for chaos_filter in chaos_filters:
-        deployment.transport.add_filter(chaos_filter)
-    if not spec.trinx_verification:
-        _disable_trinx_verification(deployment.replicas)
 
-    stop_event = asyncio.Event()
+    # the parent stops replica children with SIGTERM; the run then ends
+    # normally, so the trace shard and the result still get written
+    stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGTERM, signal.SIGINT):
         with contextlib.suppress(NotImplementedError):
-            loop.add_signal_handler(sig, stop_event.set)
+            loop.add_signal_handler(sig, stop.set)
 
-    started = time.monotonic()
-    deadline = started + spec.duration_ms / 1_000.0
-    try:
-        await deployment.start()
-        _schedule_connection_kills(deployment, chaos_filters)
-        deployment.start_clients()
-        workload_node = bool(deployment.clients or deployment.gateways)
-        while not stop_event.is_set():
-            now = time.monotonic()
-            if workload_node and now >= deadline:
-                break
-            if not workload_node and now >= deadline + 20.0:
-                break  # replica safety net if the parent never signals
-            if (
-                deployment.clients
-                and spec.requests
-                and deployment.total_completed() >= spec.requests
-            ):
-                break
-            await asyncio.sleep(0.05)
-        deployment.stop_clients()
-        await asyncio.sleep(0.05)  # let in-flight replies drain
-    finally:
-        await deployment.stop()
-
+    duration_ms = spec.duration_ms
+    if not (deployment.clients or deployment.gateways):
+        duration_ms += REPLICA_GRACE_MS
+    result = await run_live_scenario(
+        spec, deployment, seed, duration_ns=duration_ms * MS, stop=stop
+    )
     if args.trace_out:
         tracer.write_jsonl(f"{args.trace_out}.{args.node}.jsonl")
-    latency = LatencyStats()
-    for client in deployment.clients:
-        latency.merge(client.stats)
-    for gateway in deployment.gateways:
-        latency.merge(gateway.stats.latency)
-    print(json.dumps({
-        "node": args.node,
-        "completed": deployment.total_completed(),
-        "retries": sum(client.retries for client in deployment.clients)
-        + sum(gateway.stats.timeouts for gateway in deployment.gateways),
-        "offered": sum(gateway.stats.offered for gateway in deployment.gateways),
-        "shed": sum(gateway.stats.shed for gateway in deployment.gateways),
-        "latency_stats": latency.to_json(),
-        "chaos_dropped": deployment.transport.chaos_dropped,
-        "chaos_delayed": deployment.transport.chaos_delayed,
-        "chaos_injected": deployment.transport.chaos_injected,
-        "state_digests": [
-            str(replica.service.state_digestible()) for replica in deployment.replicas
-        ],
-    }))
+    print(json.dumps({"node": args.node, **result.to_json()}))
     return 0
 
 
@@ -181,17 +142,14 @@ def main(argv: list[str] | None = None) -> int:
 # Parent: orchestrate the whole group
 # ----------------------------------------------------------------------
 async def run_scenario_processes(
-    spec, seed_override: int | None = None, trace_out: str | None = None
-):
+    spec, seed_override: int | None = None
+) -> tuple[RunResult, Tracer]:
     """Run a live scenario with one OS process per node.
 
-    Returns the same :class:`~repro.scenarios.engine.ScenarioResult` as
-    the in-process paths, evaluated against the same pass criteria.
+    Returns the children's merged result and their merged trace; the
+    engine evaluates them against the same pass criteria as in-process
+    runs.
     """
-    from repro.runtime.deployment import _replica_ids
-    from repro.scenarios.engine import ScenarioResult, _evaluate, _merge_gateway_counts
-    from repro.scenarios.safety import check_safety
-
     if not spec.path or not os.path.exists(spec.path):
         raise ConfigurationError(
             "process-per-node scenarios need the scenario file on disk "
@@ -205,86 +163,56 @@ async def run_scenario_processes(
         for j in range(deployment_spec.client_machines)
         if deployment_spec.num_clients
     ] + list(deployment_spec.gateway_nodes())
-    nodes = replica_nodes + workload_nodes
-
-    tmpdir = tempfile.mkdtemp(prefix="repro-scenario-")
-    trace_prefix = os.path.join(tmpdir, "trace")
     seed = spec.seed if seed_override is None else seed_override
-    children: dict[str, asyncio.subprocess.Process] = {}
-    reports: dict[str, dict[str, Any]] = {}
-    started = time.monotonic()
-    try:
-        for node in nodes:
-            children[node] = await asyncio.create_subprocess_exec(
-                sys.executable, "-m", "repro.scenarios.livenode",
-                "--spec", spec.path, "--node", node,
-                "--seed", str(seed), "--base-port", str(base_port),
-                "--trace-out", trace_prefix,
-                stdout=asyncio.subprocess.PIPE,
-            )
-        # workload children stop themselves at the duration / request
-        # target; replicas serve until we signal them below
-        for node in workload_nodes:
-            raw, _ = await asyncio.wait_for(
-                children[node].communicate(),
-                timeout=spec.duration_ms / 1_000.0 + 15,
-            )
-            reports[node] = json.loads(raw.decode() or "{}")
-        for node in replica_nodes:
-            if children[node].returncode is None:
-                children[node].terminate()
-        for node in replica_nodes:
-            raw, _ = await asyncio.wait_for(children[node].communicate(), timeout=10)
-            reports[node] = json.loads(raw.decode() or "{}")
-    finally:
-        for child in children.values():
-            if child.returncode is None:
-                child.terminate()
-        for child in children.values():
-            if child.returncode is None:
-                try:
-                    await asyncio.wait_for(child.wait(), timeout=5)
-                except asyncio.TimeoutError:
-                    child.kill()
-    elapsed_ms = (time.monotonic() - started) * 1_000.0
+    result = RunResult(protocol=deployment_spec.protocol, mode="live")
 
-    latency = LatencyStats()
-    for report in reports.values():
-        if report.get("latency_stats"):
-            latency.merge(LatencyStats.from_json(report["latency_stats"]))
-    result = ScenarioResult(
-        name=spec.name,
-        mode="live",
-        protocol=deployment_spec.protocol,
-        completed=sum(r.get("completed", 0) for r in reports.values()),
-        elapsed_ms=elapsed_ms,
-        retries=sum(r.get("retries", 0) for r in reports.values()),
-        chaos_dropped=sum(r.get("chaos_dropped", 0) for r in reports.values()),
-        chaos_delayed=sum(r.get("chaos_delayed", 0) for r in reports.values()),
-        chaos_injected=sum(r.get("chaos_injected", 0) for r in reports.values()),
-    )
-    result.set_latency(latency)
-    _merge_gateway_counts(
-        result,
-        offered=sum(r.get("offered", 0) for r in reports.values()),
-        shed=sum(r.get("shed", 0) for r in reports.values()),
-        present=bool(deployment_spec.gateway),
-    )
+    with tempfile.TemporaryDirectory(prefix="repro-scenario-") as tmpdir:
+        trace_prefix = os.path.join(tmpdir, "trace")
+        children: dict[str, asyncio.subprocess.Process] = {}
+        reports: list[str] = []
+        try:
+            for node in replica_nodes + workload_nodes:
+                children[node] = await asyncio.create_subprocess_exec(
+                    sys.executable, "-m", "repro.scenarios.livenode",
+                    "--spec", spec.path, "--node", node,
+                    "--seed", str(seed), "--base-port", str(base_port),
+                    "--trace-out", trace_prefix,
+                    stdout=asyncio.subprocess.PIPE,
+                )
+            # workload children stop themselves at the duration / request
+            # target; replicas serve until we signal them below
+            for node in workload_nodes:
+                raw, _ = await asyncio.wait_for(
+                    children[node].communicate(),
+                    timeout=spec.duration_ms / 1_000.0 + 15,
+                )
+                reports.append(raw.decode())
+            for node in replica_nodes:
+                if children[node].returncode is None:
+                    children[node].terminate()
+            for node in replica_nodes:
+                raw, _ = await asyncio.wait_for(children[node].communicate(), timeout=10)
+                reports.append(raw.decode())
+        finally:
+            for child in children.values():
+                if child.returncode is None:
+                    child.terminate()
+            for child in children.values():
+                if child.returncode is None:
+                    try:
+                        await asyncio.wait_for(child.wait(), timeout=5)
+                    except asyncio.TimeoutError:
+                        child.kill()
 
-    shards = []
-    for node in nodes:
-        shard = f"{trace_prefix}.{node}.jsonl"
-        if os.path.exists(shard):
-            shards.append(Tracer.load_jsonl(shard))
-    merged = Tracer.merge(*shards) if shards else Tracer(enabled=True)
-    if trace_out:
-        merged.write_jsonl(trace_out)
-    result.safety = check_safety(merged)
-    digests = {d for r in reports.values() for d in r.get("state_digests", [])}
-    if len(digests) > 1:
-        result.failures.append(f"replica states diverged: {sorted(digests)}")
-    _evaluate(result, spec)
-    return result
+        for report in reports:
+            if report.strip():
+                result.merge(RunResult.from_json(json.loads(report)))
+        shards = [
+            Tracer.load_jsonl(f"{trace_prefix}.{node}.jsonl")
+            for node in replica_nodes + workload_nodes
+            if os.path.exists(f"{trace_prefix}.{node}.jsonl")
+        ]
+    return result, (Tracer.merge(*shards) if shards else Tracer(enabled=True))
 
 
 if __name__ == "__main__":  # pragma: no cover - child-process entry

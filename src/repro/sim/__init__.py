@@ -7,11 +7,12 @@ unmodified on top of it and exchanges real messages; only *time* is virtual:
 * :mod:`repro.sim.kernel` — the event loop (integer-nanosecond clock).
 * :mod:`repro.sim.resources` — CPU cores and hardware threads with FIFO
   service and hyper-threading slowdown.
-* :mod:`repro.sim.network` — latency + per-NIC bandwidth network model.
-* :mod:`repro.sim.faults` — message drop/delay/partition injection.
+* :mod:`repro.sim.network` — latency + per-NIC bandwidth network model;
+  message drop/delay/partition injection plugs into it through the
+  filters of :mod:`repro.chaos`.
 * :mod:`repro.sim.process` — actor-style stages bound to simulated threads.
 
-Everything is deterministic given the seed passed to the fault injectors;
+Everything is deterministic given the seed passed to the chaos filters;
 the kernel itself contains no randomness.
 """
 

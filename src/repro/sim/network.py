@@ -81,9 +81,9 @@ class Network:
         self._receivers: dict[str, Callable[[str, Any], None]] = {}
         self._filters: list[MessageFilter] = []
         self.messages_sent = 0
-        self.messages_dropped = 0
-        self.messages_delayed = 0
-        self.messages_injected = 0
+        self.chaos_dropped = 0
+        self.chaos_delayed = 0
+        self.chaos_injected = 0
 
     # ------------------------------------------------------------------
     # Topology
@@ -131,14 +131,14 @@ class Network:
         for message_filter in self._filters:
             decision = message_filter.decide(src, dst, message, size, self.sim.now)
             if decision.drop:
-                self.messages_dropped += 1
+                self.chaos_dropped += 1
                 return
             extra_delay += decision.extra_delay_ns
             if decision.replace is not None:
                 message = decision.replace
-                self.messages_injected += 1
+                self.chaos_injected += 1
         if extra_delay:
-            self.messages_delayed += 1
+            self.chaos_delayed += 1
 
         src_nic = self._interfaces[src]
         now = self.sim.now

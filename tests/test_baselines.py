@@ -82,7 +82,7 @@ class TestPbftCop:
         assert all(count > 0 for count in proposals)
 
     def test_survives_one_follower_crash(self):
-        from repro.sim.faults import Partition
+        from repro.chaos import Partition
 
         sim, network, replicas, clients = build_cluster("pbft", clients=2)
         sim.run(until=100_000_000)

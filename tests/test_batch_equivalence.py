@@ -17,13 +17,12 @@ sequence and reply values.
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
 from repro.clients.workload import KeyValueWorkload
 from repro.runtime.deployment import DeploymentSpec, build_deployment
-from repro.runtime.live import run_live
+from repro.runtime.live import build_live_deployment
+from repro.runtime.run import run
 from repro.scenarios.engine import TRACE_CATEGORIES
 from repro.scenarios.safety import check_safety
 from repro.sim.tracing import Tracer
@@ -49,24 +48,20 @@ def _spec(batch_size: int) -> DeploymentSpec:
     )
 
 
-def _run_sim(batch_size: int, target: int) -> Tracer:
+def _run(build, batch_size: int, target: int, limit_ms: int) -> Tracer:
     tracer = Tracer(enabled=True, categories=TRACE_CATEGORIES)
-    deployment = build_deployment(_spec(batch_size), tracer=tracer)
-    deployment.start_clients()
-    while deployment.total_completed() < target:
-        assert deployment.sim.now < 5_000 * MS, "sim run did not reach target"
-        deployment.sim.run(until=deployment.sim.now + 20 * MS)
+    result = run(build(_spec(batch_size), tracer=tracer), duration_ns=limit_ms * MS, requests=target)
+    assert result.completed >= target, f"{result.mode} run did not reach the target"
+    assert not result.diverged
     return tracer
 
 
-def _run_live(batch_size: int, target: int) -> Tracer:
-    tracer = Tracer(enabled=True, categories=TRACE_CATEGORIES)
-    result = asyncio.run(
-        run_live(_spec(batch_size), target_requests=target, max_duration_s=60, tracer=tracer)
-    )
-    assert result.completed >= target
-    assert len(set(result.state_digests)) == 1
-    return tracer
+def _sim_trace(batch_size: int, target: int) -> Tracer:
+    return _run(build_deployment, batch_size, target, limit_ms=5_000)
+
+
+def _live_trace(batch_size: int, target: int) -> Tracer:
+    return _run(build_live_deployment, batch_size, target, limit_ms=60_000)
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +108,8 @@ def _assert_fifo_no_loss_no_dupes(trace: Tracer) -> None:
 # ----------------------------------------------------------------------
 def test_sim_batch_sizes_execute_identical_histories():
     target = 400
-    thin = _run_sim(1, target)
-    fat = _run_sim(16, target)
+    thin = _sim_trace(1, target)
+    fat = _sim_trace(16, target)
 
     for trace in (thin, fat):
         assert check_safety(trace).ok
@@ -145,8 +140,8 @@ def test_sim_batch_sizes_execute_identical_histories():
 @pytest.mark.parametrize("batch_size", [1, 16])
 def test_sim_and_live_agree_on_executed_history(batch_size):
     target = 120
-    sim = _run_sim(batch_size, target)
-    live = _run_live(batch_size, target)
+    sim = _sim_trace(batch_size, target)
+    live = _live_trace(batch_size, target)
 
     for trace in (sim, live):
         assert check_safety(trace).ok

@@ -148,17 +148,8 @@ def test_equivocate_respects_max_attempts_and_window():
 
 
 # ----------------------------------------------------------------------
-# Compatibility shim and seed derivation
+# Seed derivation
 # ----------------------------------------------------------------------
-def test_sim_faults_shim_reexports_the_chaos_library():
-    from repro.sim import faults
-
-    assert faults.LossRate is LossRate
-    assert faults.Partition is Partition
-    assert faults.FaultPlan is ChaosPlan
-    assert faults.DELIVER is DELIVER
-
-
 def test_derive_seed_is_stable_and_discriminating():
     assert derive_seed(42, "fault", 0) == derive_seed(42, "fault", 0)
     assert derive_seed(42, "fault", 0) != derive_seed(42, "fault", 1)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.clients.stats import LatencyStats
 from repro.clients.workload import CoordinationWorkload, KeyValueWorkload, NullWorkload
-from repro.sim.faults import TargetedDrop
+from repro.chaos import TargetedDrop
 from repro.messages.client import Reply
 from tests.conftest import Harness
 
@@ -171,7 +171,7 @@ class TestClientBehavior:
         assert client.last_result == 2
 
     def test_client_follows_the_view(self, harness):
-        from repro.sim.faults import Partition
+        from repro.chaos import Partition
 
         client = harness.add_client(window=1)
         harness.start_clients()

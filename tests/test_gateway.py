@@ -13,9 +13,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gateway.config import GatewayConfig
-from repro.gateway.runner import run_gateway_live, run_gateway_sim
+from repro.net.peer import PeerConfig
 from repro.runtime.deployment import DeploymentSpec, build_deployment
-from repro.sim.tracing import Tracer
+from repro.runtime.live import build_live_deployment
+from repro.runtime.run import RunResult, run
+from repro.sim.tracing import NULL_TRACER, Tracer
 
 MS = 1_000_000
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -50,11 +52,21 @@ def _spec(**overrides) -> DeploymentSpec:
     )
 
 
+def sim_run(spec: DeploymentSpec, duration_ms: int, tracer: Tracer = NULL_TRACER) -> RunResult:
+    return run(build_deployment(spec, tracer=tracer), duration_ns=duration_ms * MS)
+
+
+def live_run(spec: DeploymentSpec, duration_s: float) -> RunResult:
+    peer_config = PeerConfig(pool_size=spec.gateway.connection_pool)
+    deployment = build_live_deployment(spec, peer_config=peer_config)
+    return run(deployment, duration_ns=int(duration_s * 1e9))
+
+
 # ----------------------------------------------------------------------
 # Sim end-to-end
 # ----------------------------------------------------------------------
 def test_sim_gateway_completes_and_replicas_agree():
-    result = run_gateway_sim(_spec(), duration_ms=300)
+    result = sim_run(_spec(), duration_ms=300)
     assert result.slo.completed > 100
     assert result.slo.failed == 0
     assert len(set(result.state_digests)) == 1
@@ -64,18 +76,18 @@ def test_sim_gateway_completes_and_replicas_agree():
 
 
 def test_sim_gateway_is_deterministic_under_seed():
-    a = run_gateway_sim(_spec(seed=77), duration_ms=300)
-    b = run_gateway_sim(_spec(seed=77), duration_ms=300)
+    a = sim_run(_spec(seed=77), duration_ms=300)
+    b = sim_run(_spec(seed=77), duration_ms=300)
     assert a.to_json() == b.to_json()
-    c = run_gateway_sim(_spec(seed=78), duration_ms=300)
+    c = sim_run(_spec(seed=78), duration_ms=300)
     assert a.to_json() != c.to_json()
 
 
 def test_sim_gateway_latency_includes_queueing():
     # saturate a small window: latency must grow well past the
     # unloaded round trip because arrivals wait in the admission queue
-    fast = run_gateway_sim(_spec(rate_ops=500.0), duration_ms=300)
-    slow = run_gateway_sim(
+    fast = sim_run(_spec(rate_ops=500.0), duration_ms=300)
+    slow = sim_run(
         _spec(rate_ops=20000.0, max_outstanding=8, queue_capacity=4096),
         duration_ms=300,
     )
@@ -83,7 +95,7 @@ def test_sim_gateway_latency_includes_queueing():
 
 
 def test_sim_gateway_sheds_at_saturation_but_stays_safe():
-    result = run_gateway_sim(
+    result = sim_run(
         _spec(rate_ops=50000.0, queue_capacity=16, max_outstanding=8),
         duration_ms=300,
     )
@@ -104,15 +116,10 @@ def test_sim_gateway_sessions_have_distinct_client_ids():
 
 
 def test_multiple_gateways_split_the_offered_load():
-    result = run_gateway_sim(_spec(gateways=2, rate_ops=1000.0), duration_ms=300)
+    result = sim_run(_spec(gateways=2, rate_ops=1000.0), duration_ms=300)
     assert result.slo.sessions == 48  # 24 sessions per gateway node
     # two nodes at 1000 ops/s each
     assert result.slo.offered_rate_ops == pytest.approx(2000.0, rel=0.15)
-
-
-def test_gateway_runner_requires_gateway_config():
-    with pytest.raises(ConfigurationError):
-        run_gateway_sim(DeploymentSpec(num_clients=0), duration_ms=10)
 
 
 # ----------------------------------------------------------------------
@@ -135,12 +142,12 @@ def _coordination_spec(read_lease_ms: float) -> DeploymentSpec:
 
 
 def test_read_leases_serve_reads_locally():
-    leased = run_gateway_sim(_coordination_spec(read_lease_ms=50.0), duration_ms=300)
-    unleased = run_gateway_sim(_coordination_spec(read_lease_ms=0.0), duration_ms=300)
+    leased = sim_run(_coordination_spec(read_lease_ms=50.0), duration_ms=300)
+    unleased = sim_run(_coordination_spec(read_lease_ms=0.0), duration_ms=300)
     assert leased.slo.leased_reads > 100
     assert unleased.slo.leased_reads == 0
     # local reads skip replication entirely: fewer bytes hit the wire
-    assert leased.transport_sent < unleased.transport_sent
+    assert leased.bytes_sent < unleased.bytes_sent
     assert leased.slo.latency.percentile_ms(50) < unleased.slo.latency.percentile_ms(50)
 
 
@@ -148,7 +155,7 @@ def test_leased_reads_are_traced_separately():
     tracer = Tracer(
         enabled=True, categories={"client-complete", "gateway-local-read"}
     )
-    run_gateway_sim(_coordination_spec(read_lease_ms=50.0), duration_ms=200, tracer=tracer)
+    sim_run(_coordination_spec(read_lease_ms=50.0), duration_ms=200, tracer=tracer)
     categories = {record.category for record in tracer.records}
     assert "gateway-local-read" in categories
     assert "client-complete" in categories
@@ -158,12 +165,12 @@ def test_leased_reads_are_traced_separately():
 # Live TCP
 # ----------------------------------------------------------------------
 def test_live_gateway_open_loop_smoke():
-    result = run_gateway_live(
+    result = live_run(
         _spec(protocol="hybster-s", sessions=16, rate_ops=400.0), duration_s=2.0
     )
     assert result.slo.completed > 50
     assert len(set(result.state_digests)) == 1
-    assert result.transport_sent > result.slo.completed
+    assert result.bytes_sent > result.slo.completed
 
 
 def test_live_gateway_connection_pool():
@@ -171,7 +178,7 @@ def test_live_gateway_connection_pool():
     spec.gateway = GatewayConfig(
         sessions=16, rate_ops=400.0, connection_pool=3
     )
-    result = run_gateway_live(spec, duration_s=2.0)
+    result = live_run(spec, duration_s=2.0)
     assert result.slo.completed > 50
     assert len(set(result.state_digests)) == 1
 

@@ -1,6 +1,6 @@
 """Integration tests: checkpointing, garbage collection, state transfer."""
 
-from repro.sim.faults import Partition
+from repro.chaos import Partition
 from tests.conftest import Harness
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.faults import Partition
+from repro.chaos import Partition
 from tests.conftest import MS, Harness
 
 

@@ -15,12 +15,10 @@ import pytest
 from repro.clients.workload import Workload
 from repro.errors import ConfigurationError
 from repro.runtime.deployment import DeploymentSpec
-from repro.runtime.live import (
-    LiveKernel,
-    build_live_deployment,
-    live_directory,
-    run_live,
-)
+from repro.runtime.live import LiveKernel, build_live_deployment, live_directory
+from repro.runtime.run import run
+
+SECOND = 1_000_000_000
 
 
 def test_live_hybster_s_completes_100_requests():
@@ -32,14 +30,14 @@ def test_live_hybster_s_completes_100_requests():
         client_window=8,
         client_machines=1,
     )
-    result = asyncio.run(run_live(spec, target_requests=100, max_duration_s=30))
+    result = run(build_live_deployment(spec), duration_ns=30 * SECOND, requests=100)
     assert result.completed >= 100
     # counter replies are correct: every replica executed the same adds
     assert len(set(result.state_digests)) == 1
     executed = {stats["executed_requests"] for stats in result.replica_stats}
     assert min(executed) >= 100
     # messages genuinely crossed sockets
-    assert result.transport_sent > result.completed
+    assert result.bytes_sent > result.completed
     assert result.latency.count == result.completed
     assert result.latency.mean_ns > 0
 
@@ -55,7 +53,7 @@ def test_live_hybster_x_multiple_pillars_agree():
         checkpoint_interval=16,
         window_size=64,
     )
-    result = asyncio.run(run_live(spec, target_requests=60, max_duration_s=30))
+    result = run(build_live_deployment(spec), duration_ns=30 * SECOND, requests=60)
     assert result.completed >= 60
     assert len(set(result.state_digests)) == 1
 
@@ -78,24 +76,9 @@ def test_live_counter_results_are_correct():
         client_machines=1,
         workload_factory=lambda client_id, index: AddOneWorkload(),
     )
-
-    async def scenario():
-        deployment = build_live_deployment(spec)
-        async with deployment.transport:
-            for replica in deployment.replicas:
-                replica.start()
-            deployment.start_clients()
-            client = deployment.clients[0]
-            for _ in range(1000):
-                if client.completed >= 20:
-                    break
-                await asyncio.sleep(0.02)
-            deployment.stop_clients()
-            await asyncio.sleep(0.05)
-            deployment.kernel.cancel_all()
-            return client
-
-    client = asyncio.run(scenario())
+    deployment = build_live_deployment(spec)
+    run(deployment, duration_ns=20 * SECOND, requests=20)
+    client = deployment.clients[0]
     assert client.completed >= 20
     # single client, window 1, counter service: results are 1, 2, 3, ...
     assert client.last_result == client.completed

@@ -3,7 +3,7 @@
 from repro.messages.internal import ExecRequest, FillGap, OrderRequest
 from repro.messages.client import Request
 from repro.messages.ordering import Commit, InstanceFetch, Prepare
-from repro.sim.faults import TargetedDrop
+from repro.chaos import TargetedDrop
 from tests.conftest import Harness
 
 

@@ -1,11 +1,12 @@
-"""Tests for the deployment builder and benchmark harness."""
+"""Tests for the deployment builder and the one driver that runs it."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime.benchmark import run_benchmark
 from repro.runtime.calibration import CalibrationProfile
 from repro.runtime.deployment import PROTOCOLS, DeploymentSpec, build_deployment
+from repro.runtime.live import build_live_deployment
+from repro.runtime.run import RunResult, run
 
 MS = 1_000_000
 
@@ -55,7 +56,7 @@ class TestDeploymentBuilder:
         deployment = build_deployment(
             DeploymentSpec(protocol=protocol, num_clients=4, client_window=2)
         )
-        result = run_benchmark(deployment, warmup_ns=10 * MS, measure_ns=20 * MS)
+        result = run(deployment, warmup_ns=10 * MS, duration_ns=20 * MS)
         assert result.completed > 0
         assert result.throughput_ops > 0
 
@@ -63,28 +64,54 @@ class TestDeploymentBuilder:
 class TestBenchmarkHarness:
     def test_measurement_excludes_warmup(self):
         deployment = build_deployment(DeploymentSpec(protocol="hybster-s", num_clients=4))
-        result = run_benchmark(deployment, warmup_ns=20 * MS, measure_ns=30 * MS)
-        assert result.measure_ns == 30 * MS
+        result = run(deployment, warmup_ns=20 * MS, duration_ns=30 * MS)
+        assert result.elapsed_ns == 30 * MS
         # completions during warmup are not counted
         assert result.completed < deployment.total_completed()
 
     def test_latency_collected_fresh(self):
         deployment = build_deployment(DeploymentSpec(protocol="hybster-s", num_clients=4))
-        result = run_benchmark(deployment, warmup_ns=10 * MS, measure_ns=20 * MS)
+        result = run(deployment, warmup_ns=10 * MS, duration_ns=20 * MS)
         assert result.latency.count == result.completed
 
     def test_utilization_and_network_reported(self):
         deployment = build_deployment(DeploymentSpec(protocol="hybster-s", num_clients=8))
-        result = run_benchmark(deployment, warmup_ns=10 * MS, measure_ns=20 * MS)
+        result = run(deployment, warmup_ns=10 * MS, duration_ns=20 * MS)
         assert 0 < result.replica_cpu_utilization <= 1
-        assert result.network_bytes > 0
+        assert result.bytes_sent > 0
         assert len(result.replica_stats) == 3
 
     def test_result_renders(self):
         deployment = build_deployment(DeploymentSpec(protocol="hybster-s", num_clients=2))
-        result = run_benchmark(deployment, warmup_ns=10 * MS, measure_ns=10 * MS)
+        result = run(deployment, warmup_ns=10 * MS, duration_ns=10 * MS)
         text = str(result)
-        assert "hybster-s" in text and "kops/s" in text
+        assert "hybster-s" in text and "ops/s" in text
+
+    @pytest.mark.parametrize("builder", [build_deployment, build_live_deployment],
+                             ids=["sim", "live"])
+    def test_one_driver_runs_both_modes_to_a_request_target(self, builder):
+        spec = DeploymentSpec(
+            protocol="hybster-s", cores=2, service="counter", num_clients=2,
+            client_window=2, client_machines=1, seed=5,
+        )
+        result = run(builder(spec), duration_ns=30_000 * MS, requests=50)
+        assert result.mode == ("sim" if builder is build_deployment else "live")
+        assert result.completed >= 50
+        assert result.latency.count == result.completed
+        assert len(result.state_digests) == 3 and not result.diverged
+        assert result.bytes_sent > 0
+
+    def test_result_round_trips_through_json(self):
+        deployment = build_deployment(DeploymentSpec(protocol="hybster-s", num_clients=4))
+        result = run(deployment, duration_ns=20 * MS)
+        again = RunResult.from_json(result.to_json())
+        assert again.to_json() == result.to_json()
+        merged = RunResult(protocol="hybster-s", mode="sim")
+        merged.merge(result)
+        merged.merge(again)
+        assert merged.completed == 2 * result.completed
+        assert merged.latency.count == 2 * result.latency.count
+        assert merged.elapsed_ns == result.elapsed_ns
 
 
 class TestReportRendering:

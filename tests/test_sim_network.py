@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.faults import ExtraDelay, FaultPlan, LossRate, Partition, TargetedDrop
+from repro.chaos import ChaosPlan, ExtraDelay, LossRate, Partition, TargetedDrop
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network, NetworkInterface
 
@@ -87,7 +87,7 @@ class TestFaultFilters:
         net.send("a", "b", "m", 10)
         sim.run()
         assert inboxes["b"] == []
-        assert net.messages_dropped == 1
+        assert net.chaos_dropped == 1
 
     def test_loss_rate_zero_drops_nothing(self):
         sim, net, inboxes = make_net()
@@ -172,7 +172,7 @@ class TestFaultFilters:
         assert [m for (_, m, _) in inboxes["b"]] == ["found"]
 
     def test_fault_plan_composes(self):
-        plan = FaultPlan([ExtraDelay(1_000), ExtraDelay(2_000)])
+        plan = ChaosPlan([ExtraDelay(1_000), ExtraDelay(2_000)])
         decision = plan.decide("a", "b", "m", 10, 0)
         assert decision.extra_delay_ns == 3_000
         plan.add(LossRate(1.0))
