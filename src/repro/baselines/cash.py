@@ -14,7 +14,6 @@ asserted.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from typing import Any
 
@@ -53,21 +52,21 @@ class CashSubsystem:
         self._occupy_channel()
         self._counters[counter] = new_value
         self.certificates_issued += 1
-        return hmac.new(
+        return hmac.digest(
             self._group_secret,
             canonical_bytes(("cash", self.instance_id, counter, new_value, message)),
-            hashlib.sha256,
-        ).digest()
+            "sha256",
+        )
 
     def verify_certificate(
         self, issuer: str, counter: int, value: int, message: Any, mac: bytes
     ) -> bool:
         self._occupy_channel()
-        expected = hmac.new(
+        expected = hmac.digest(
             self._group_secret,
             canonical_bytes(("cash", issuer, counter, value, message)),
-            hashlib.sha256,
-        ).digest()
+            "sha256",
+        )
         return hmac.compare_digest(expected, mac)
 
     def current_value(self, counter: int) -> int:

@@ -13,7 +13,6 @@ Costs mirror TrInX: every create/verify is an enclave call.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
 from typing import Any
@@ -49,11 +48,11 @@ class Usig:
         return self._counter
 
     def _mac(self, issuer: str, value: int, message: Any) -> bytes:
-        return hmac.new(
+        return hmac.digest(
             self._group_secret,
             canonical_bytes(("usig", issuer, value, message)),
-            hashlib.sha256,
-        ).digest()
+            "sha256",
+        )
 
     def create_ui(self, message: Any, size_hint: int = 32) -> UI:
         """Certify ``message`` with the next counter value (implicit ++)."""

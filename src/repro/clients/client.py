@@ -132,7 +132,8 @@ class Client(Stage):
         pending = self.outstanding.get(message.request_id)
         if pending is None:
             return
-        # one MAC verification per reply
+        # the modelled cost of one MAC verification per reply (the
+        # computed MAC is not compared)
         self.crypto.compute_mac(b"client-session", message.digestible(), size_hint=32)
         if message.view > self.current_view:
             self.current_view = message.view

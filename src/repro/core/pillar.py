@@ -310,7 +310,8 @@ class Pillar(Stage):
         self._linger_deadline = None
         if not batch and not allow_empty:
             return
-        # one vectorized pass verifies every client MAC in the batch
+        # one vectorized MAC pass over the batch: the modelled cost of
+        # verifying every client MAC (the result is not compared)
         digestibles = [request.digestible() for request in batch]
         self.client_crypto.compute_mac_batch(b"client-session", digestibles, size_hint_each=32)
         lane = self.config.lane_of(self.view, order)
@@ -426,7 +427,8 @@ class Pillar(Stage):
 
     def _accept_prepare(self, prepare: Prepare) -> None:
         """Acknowledge a verified PREPARE at its lane's next expected order."""
-        # followers verify the client MACs of proposed requests too
+        # followers pay the modelled cost of verifying the client MACs of
+        # proposed requests too (the computed MACs are not compared)
         self.client_crypto.compute_mac_batch(
             b"client-session",
             [request.digestible() for request in prepare.batch],

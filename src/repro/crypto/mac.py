@@ -11,14 +11,14 @@ import hmac
 import hashlib
 from typing import Any, Iterable, Sequence
 
-from repro.crypto.digests import canonical_bytes
+from repro.crypto.digests import canonical_bytes, write_canonical
 
 MAC_SIZE = 32
 
 
 def compute_mac(key: bytes, data: Any) -> bytes:
     """HMAC-SHA256 of the canonical serialization of ``data``."""
-    return hmac.new(key, canonical_bytes(data), hashlib.sha256).digest()
+    return hmac.digest(key, canonical_bytes(data), "sha256")
 
 
 def _pack_items(items: Iterable[Any]) -> tuple[bytearray, list[tuple[int, int]]]:
@@ -32,7 +32,7 @@ def _pack_items(items: Iterable[Any]) -> tuple[bytearray, list[tuple[int, int]]]
     spans: list[tuple[int, int]] = []
     for item in items:
         start = len(buffer)
-        buffer += canonical_bytes(item)
+        write_canonical(buffer, item)
         spans.append((start, len(buffer)))
     return buffer, spans
 
@@ -41,7 +41,7 @@ def compute_mac_many(key: bytes, items: Sequence[Any]) -> list[bytes]:
     """Vectorized :func:`compute_mac`: one buffer, one HMAC per slice."""
     buffer, spans = _pack_items(items)
     view = memoryview(buffer)
-    return [hmac.new(key, view[a:b], hashlib.sha256).digest() for a, b in spans]
+    return [hmac.digest(key, view[a:b], "sha256") for a, b in spans]
 
 
 def digest_many(items: Sequence[Any]) -> list[bytes]:
@@ -65,4 +65,4 @@ def session_key(group_secret: bytes, party_a: str, party_b: str) -> bytes:
     """
     first, second = sorted((party_a, party_b))
     material = canonical_bytes((first, second))
-    return hmac.new(group_secret, b"session" + material, hashlib.sha256).digest()
+    return hmac.digest(group_secret, b"session" + material, "sha256")

@@ -61,7 +61,7 @@ class CryptoProvider:
         """HMAC-SHA256; cost charged like :meth:`digest`."""
         raw = canonical_bytes(data)
         self._account(size_hint if size_hint is not None else len(raw))
-        return hmac_mod.new(key, raw, hashlib.sha256).digest()
+        return hmac_mod.digest(key, raw, "sha256")
 
     def verify_mac(self, key: bytes, data: Any, tag: bytes, size_hint: int | None = None) -> bool:
         """Verify an HMAC; verification costs the same as computation."""
@@ -85,9 +85,7 @@ class CryptoProvider:
         )
         self._account_batch(len(items), total)
         view = memoryview(buffer)
-        return [
-            hmac_mod.new(key, view[a:b], hashlib.sha256).digest() for a, b in spans
-        ]
+        return [hmac_mod.digest(key, view[a:b], "sha256") for a, b in spans]
 
     def digest_batch(
         self, items: Sequence[Any], size_hint_each: int | None = None

@@ -49,7 +49,9 @@ only forgoes coverage on traces produced outside them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any
 
 from repro.sim.tracing import Tracer
@@ -271,6 +273,8 @@ def _check_linearizability(tracer: Tracer, report: SafetyReport) -> None:
         elif verb == "get" and len(op.operation) >= 2 and op.complete_ns is not _INFINITY:
             reads.setdefault(str(op.operation[1]), []).append(op)
 
+    # (family, key) -> index over that key's writes, built on first read
+    indexes: dict[tuple[str, str], _WriteIndex] = {}
     for key, key_reads in sorted(reads.items()):
         for read in sorted(key_reads, key=lambda op: op.invoke_ns):
             result = read.result
@@ -280,30 +284,78 @@ def _check_linearizability(tracer: Tracer, report: SafetyReport) -> None:
                 if key in deleted_paths:
                     continue
                 value = result[1] if result[0] == "ok" and len(result) >= 3 else None
-                key_writes = coord_writes.get(key, [])
+                family, family_writes = "coord", coord_writes
             else:
                 value = result
-                key_writes = writes.get(key, [])
+                family, family_writes = "kv", writes
+            index = indexes.get((family, key))
+            if index is None:
+                index = indexes[(family, key)] = _WriteIndex(family_writes.get(key, []))
             report.reads_checked += 1
-            violation = _explain_read(key, read, key_writes, value)
+            violation = _explain_read(key, read, index, value)
             if violation is not None:
                 report.violations.append(SafetyViolation("linearizability", violation))
 
 
-def _explain_read(key: str, read: _Op, writes: list[_Op], value: Any) -> str | None:
+class _WriteIndex:
+    """One key's writes of one family, indexed so each read costs O(log n).
+
+    Relies on every write being invoked no later than it completes, which
+    holds for any trace in time order (``Tracer.merge`` sorts, and one
+    process emits in order): so a write never counts as overwriting itself.
+    """
+
+    def __init__(self, writes: list[_Op]):
+        self.writes = writes
+        # hashable written value -> writes of it in trace order; None when
+        # some written value has no usable hash
+        self._by_value: dict[Any, list[_Op]] | None = {}
+        for write in writes:
+            written = _index_key(write.operation[2])
+            if written is _UNINDEXABLE:
+                self._by_value = None
+                break
+            self._by_value.setdefault(written, []).append(write)
+        by_invoke = sorted(writes, key=lambda op: op.invoke_ns)
+        self._invokes = [op.invoke_ns for op in by_invoke]
+        # _suffix_min[i]: earliest completion among by_invoke[i:]
+        completions = (op.complete_ns for op in reversed(by_invoke))
+        self._suffix_min = list(accumulate(completions, min, initial=_INFINITY))[::-1]
+        # _neg_prefix_max[i]: minus the earliest completion among writes[:i + 1]
+        self._neg_prefix_max = list(accumulate((-op.complete_ns for op in writes), max))
+
+    def first_completed_before(self, time_ns: int) -> _Op | None:
+        """The first write, in trace order, that completed before ``time_ns``."""
+        i = bisect_right(self._neg_prefix_max, -time_ns)
+        return self.writes[i] if i < len(self.writes) else None
+
+    def matching(self, value: Any) -> list[_Op]:
+        """The writes of a value equal to ``value``."""
+        if self._by_value is not None:
+            key = _index_key(value)
+            if key is not _UNINDEXABLE:
+                return self._by_value.get(key, [])
+        return [w for w in self.writes if _values_equal(w.operation[2], value)]
+
+    def overwritten(self, write: _Op, before_ns: int) -> bool:
+        """Whether a write invoked after ``write`` completed, completed before ``before_ns``."""
+        return self._suffix_min[bisect_right(self._invokes, write.complete_ns)] < before_ns
+
+
+def _explain_read(key: str, read: _Op, index: _WriteIndex, value: Any) -> str | None:
     """Return a violation description for ``read``, or None if legal."""
     if value is None:
         # the initial value: illegal once any put certainly completed first
-        for write in writes:
-            if write.complete_ns < read.invoke_ns:
-                return (
-                    f"get({key}) by {read.client}#{read.request_id} returned the "
-                    f"initial value, but {write.operation[0]}(...{write.operation[2]!r}) "
-                    f"by {write.client}#{write.request_id} completed before it started"
-                )
-        return None
+        write = index.first_completed_before(read.invoke_ns)
+        if write is None:
+            return None
+        return (
+            f"get({key}) by {read.client}#{read.request_id} returned the "
+            f"initial value, but {write.operation[0]}(...{write.operation[2]!r}) "
+            f"by {write.client}#{write.request_id} completed before it started"
+        )
 
-    candidates = [w for w in writes if _values_equal(w.operation[2], value)]
+    candidates = index.matching(value)
     if not candidates:
         return (
             f"get({key}) by {read.client}#{read.request_id} returned {value!r}, "
@@ -312,13 +364,7 @@ def _explain_read(key: str, read: _Op, writes: list[_Op], value: Any) -> str | N
     for write in candidates:
         if write.invoke_ns >= read.complete_ns:
             continue  # the write cannot linearize before this read
-        overwritten = any(
-            other is not write
-            and other.invoke_ns > write.complete_ns
-            and other.complete_ns < read.invoke_ns
-            for other in writes
-        )
-        if not overwritten:
+        if not index.overwritten(write, read.invoke_ns):
             return None
     return (
         f"get({key}) by {read.client}#{read.request_id} returned stale value "
@@ -332,7 +378,10 @@ def _explain_read(key: str, read: _Op, writes: list[_Op], value: Any) -> str | N
 # ----------------------------------------------------------------------
 def _as_tuple(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
-        return tuple(_as_tuple(item) for item in value)
+        # recurse into containers only: trace details are mostly scalars
+        return tuple([
+            _as_tuple(item) if isinstance(item, (list, tuple)) else item for item in value
+        ])
     return value
 
 
@@ -346,3 +395,18 @@ def _hashable(value: Any) -> Any:
 
 def _values_equal(written: Any, observed: Any) -> bool:
     return _hashable(written) == _hashable(observed)
+
+
+_UNINDEXABLE = object()
+
+
+def _index_key(value: Any) -> Any:
+    """``_hashable(value)`` as a dict key, or ``_UNINDEXABLE`` when a dict
+    lookup could disagree with :func:`_values_equal`: no hash, or a value
+    unequal to itself (NaN), which a dict still finds by identity."""
+    try:
+        key = _hashable(value)
+        hash(key)
+    except TypeError:
+        return _UNINDEXABLE
+    return key if key == key else _UNINDEXABLE

@@ -12,10 +12,13 @@ silently dropped so protocol code can run without a simulator.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, EventQueue
+
+_NEVER = float("inf")
 
 
 class Simulator:
@@ -73,18 +76,27 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
-        processed = 0
+        queue = self._queue
+        heap = queue.heap
+        pop = heapq.heappop
+        horizon = _NEVER if until is None else until
+        budget = -1 if max_events is None else max(max_events, 0)  # -1: unbounded
         try:
-            while True:
-                next_time = self._queue.peek_time()
-                if next_time is None:
+            # step() inlined: this loop is the simulator's innermost one
+            while budget and heap:
+                entry = pop(heap)
+                event = entry[2]
+                if event.cancelled:
+                    continue
+                time = entry[0]
+                if time > horizon:
+                    heapq.heappush(heap, entry)  # same (time, seq): same place
                     break
-                if until is not None and next_time > until:
-                    break
-                if max_events is not None and processed >= max_events:
-                    break
-                self.step()
-                processed += 1
+                budget -= 1
+                queue.live -= 1
+                self.now = time
+                self.events_processed += 1
+                event.callback(*event.args)
         finally:
             self._running = False
         if until is not None and self.now < until:

@@ -158,8 +158,9 @@ class Stage:
             if dst[0] == self.endpoint.node:
                 self.sim.charge(self.local_send_cost_ns)
             else:
-                wire = size if size is not None else _wire_size(message)
-                if wire < self.control_size_threshold:
+                if size is None:  # messages are immutable: _transmit reuses it
+                    size = _wire_size(message)
+                if size < self.control_size_threshold:
                     self.sim.charge(self.control_send_cost_ns)
                 else:
                     self.sim.charge(self.send_cost_ns)

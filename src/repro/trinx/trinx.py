@@ -102,7 +102,7 @@ class TrInX:
     # MAC core (conceptually inside the enclave)
     # ------------------------------------------------------------------
     def _mac(self, fields: tuple) -> bytes:
-        return hmac.new(self._group_secret, canonical_bytes(fields), hashlib.sha256).digest()
+        return hmac.digest(self._group_secret, canonical_bytes(fields), "sha256")
 
     @staticmethod
     def _message_digest(message: Any) -> bytes:

@@ -141,3 +141,107 @@ class TestSimulator:
             sim.schedule(i, lambda: None)
         sim.run()
         assert sim.events_processed == 3
+
+
+class TestTupleHeap:
+    """``run`` drains ``(time, seq, event)`` heap entries in one loop."""
+
+    def test_same_time_events_fire_in_scheduling_order(self):
+        sim = Simulator()
+        fired = []
+
+        def spawn(tag):
+            fired.append(tag)
+            sim.schedule(0, fired.append, f"{tag}+0")  # joins the back of the instant
+
+        for tag in "abc":
+            sim.schedule(5, spawn, tag)
+        sim.schedule_at(5, fired.append, "d")
+        sim.run()
+        assert fired == ["a", "b", "c", "d", "a+0", "b+0", "c+0"]
+        assert sim.now == 5
+
+    def test_cancelled_event_at_heap_top_is_skipped(self):
+        sim = Simulator()
+        fired = []
+        first = sim.schedule(1, fired.append, "first")
+        sim.schedule(2, fired.append, "second")
+        sim.cancel(first)
+        sim.run()
+        assert fired == ["second"]
+        assert sim.events_processed == 1
+
+    def test_cancelled_event_deep_in_heap_is_skipped(self):
+        sim = Simulator()
+        fired = []
+        events = [sim.schedule(t, fired.append, t) for t in range(1, 64)]
+        for event in events[40:50]:
+            sim.cancel(event)
+
+        def cancel_later():
+            sim.cancel(events[60])  # cancelled while the run is under way
+
+        sim.schedule(30, cancel_later)
+        sim.run()
+        assert fired == [t for t in range(1, 64) if not 41 <= t <= 50 and t != 61]
+        assert sim.pending_events == 0
+
+    def test_run_until_advances_clock_past_the_last_event(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(100, fired.append, "at-100")
+        sim.schedule(300, fired.append, "at-300")
+        sim.run(until=300)  # an event exactly at the horizon still fires
+        assert fired == ["at-100", "at-300"]
+        sim.schedule(50, fired.append, "at-350")
+        sim.run(until=1_000)
+        assert fired == ["at-100", "at-300", "at-350"]
+        assert sim.now == 1_000
+
+    def test_run_until_stops_before_later_events_then_resumes(self):
+        sim = Simulator()
+        fired = []
+        for t in (10, 20, 30):
+            sim.schedule(t, fired.append, t)
+        cancelled = sim.schedule(25, fired.append, 25)
+        sim.cancel(cancelled)
+        sim.run(until=25)
+        assert fired == [10, 20]
+        assert sim.now == 25
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == [10, 20, 30]
+        assert sim.now == 30
+
+    def test_max_events_stops_exactly_and_resumes(self):
+        sim = Simulator()
+        fired = []
+        events = [sim.schedule(t, fired.append, t) for t in range(10)]
+        sim.cancel(events[1])
+        sim.cancel(events[2])
+        sim.run(max_events=3)  # cancelled events do not count
+        assert fired == [0, 3, 4]
+        assert sim.now == 4
+        assert sim.events_processed == 3
+        sim.run(max_events=0)
+        assert fired == [0, 3, 4]
+        assert sim.step()
+        assert fired == [0, 3, 4, 5]
+        sim.run(max_events=100)
+        assert fired == [0, 3, 4, 5, 6, 7, 8, 9]
+        assert sim.events_processed == 8
+
+    def test_pending_events_after_cancel(self):
+        sim = Simulator()
+        events = [sim.schedule(t, lambda: None) for t in (5, 1, 9, 3)]
+        assert sim.pending_events == 4
+        sim.cancel(events[2])
+        sim.cancel(events[2])
+        assert sim.pending_events == 3
+        sim.run(max_events=1)
+        assert sim.pending_events == 2
+        sim.cancel(events[0])
+        assert sim.pending_events == 1
+        sim.run()
+        assert sim.pending_events == 0
+        assert sim.events_processed == 2
