@@ -65,7 +65,9 @@ def main():
 
     admin = Client(endpoint, client_machine.allocate_thread("admin"), config, "admin", MakeRoot(), window=1)
     admin.start()
-    sim.run(until=5_000_000)
+    # the parent must exist before any worker registers under it
+    while not admin.completed:
+        sim.run(until=sim.now + 1_000_000)
 
     workers = []
     for i in range(6):
@@ -78,21 +80,31 @@ def main():
 
     sim.run(until=80_000_000)
 
+    # stop issuing, let every request in flight complete, then give the
+    # replicas time to apply the last instances before comparing them
+    clients = [admin, *workers]
+    for client in clients:
+        client.stop()
+    while any(client.outstanding for client in clients):
+        sim.run(until=sim.now + 1_000_000)
+    sim.run(until=sim.now + 50_000_000)
+
     total = sum(worker.completed for worker in workers)
     print(f"{len(workers)} workers completed {total} coordination operations")
     for worker in workers[:3]:
         print(f"  {worker.client_id}: {worker.completed} ops, "
               f"mean latency {worker.stats.mean_ms:.3f} ms")
 
-    # read the final membership through one more replicated read
-    service = replicas[0].service
-    membership = service.execute(("children", "/workers"), "inspector")
-    print(f"\nregistered workers (via r0's state machine): {membership[1:]}")
-
     states = {str(replica.service.state_digestible()) for replica in replicas}
     assert len(states) == 1, "replicas diverged!"
     print("all replicas hold the identical namespace.")
 
+    # read the membership from r0's namespace snapshot, without executing
+    # an operation; every node is (data size, version, ((name, child), ...))
+    root, _applied = replicas[0].service.snapshot()
+    membership = [name for name, _node in dict(root[2])["workers"][2]]
+    print(f"\nregistered workers (from r0's state machine): {membership}")
+    assert membership == [f"worker-{i}" for i in range(6)], "a worker failed to register"
 
 if __name__ == "__main__":
     main()

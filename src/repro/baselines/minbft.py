@@ -121,6 +121,7 @@ class MinBftReplica(Stage):
         reply_payload_size: int = 0,
         tracer: Tracer = NULL_TRACER,
         message_base_cost_ns: int = 1_100,
+        crypto_profile=JAVA,
     ):
         endpoint = Endpoint(sim, network, replica_id, tracer)
         thread = machine.allocate_thread("main", base_cost_ns=message_base_cost_ns)
@@ -134,7 +135,7 @@ class MinBftReplica(Stage):
         self.reply_payload_size = reply_payload_size
         self.platform = EnclavePlatform(charge=sim.charge, via_jni=True)
         self.usig = Usig(self.platform, config.trinx_instance_id(replica_id, 0), config.group_secret)
-        self.crypto = CryptoProvider(JAVA, charge=sim.charge)
+        self.crypto = CryptoProvider(crypto_profile, charge=sim.charge)
 
         self.view = 0
         self.next_order = 1  # leader: next to assign; follower: next to ack
@@ -151,7 +152,9 @@ class MinBftReplica(Stage):
         self._ck_quorum = MatchingQuorum(config.quorum_size)
         self._own_ck_digests: dict[int, bytes] = {}
 
-        self.peer_addresses: dict[str, Address] = {}
+        self.peer_addresses: dict[str, Address] = {
+            rid: (rid, "handler") for rid in config.replica_ids if rid != replica_id
+        }
         self.executed_requests = 0
         self.proposals = 0
 
@@ -176,10 +179,8 @@ class MinBftReplica(Stage):
             )
         return instance
 
-    def wire_peers(self, replicas: list["MinBftReplica"]) -> None:
-        for peer in replicas:
-            if peer.replica_id != self.replica_id:
-                self.peer_addresses[peer.replica_id] = (peer.replica_id, "handler")
+    def start(self) -> None:
+        """MinBFT arms no periodic timers."""
 
     # ------------------------------------------------------------------
     def on_message(self, src: Address, message: Any) -> None:
@@ -395,12 +396,12 @@ def build_minbft_group(
     tracer: Tracer = NULL_TRACER,
     message_base_cost_ns: int = 1_100,
 ) -> list[MinBftReplica]:
-    """Build and wire a MinBFT group (one replica per machine)."""
+    """Build a MinBFT group (one replica per machine)."""
     if config.num_pillars != 1:
         raise ConfigurationError("MinBFT is inherently sequential: num_pillars must be 1")
     if len(machines) != config.n:
         raise ConfigurationError(f"need {config.n} machines for {config.n} replicas")
-    replicas = [
+    return [
         MinBftReplica(
             sim,
             network,
@@ -414,6 +415,3 @@ def build_minbft_group(
         )
         for machine, replica_id in zip(machines, config.replica_ids)
     ]
-    for replica in replicas:
-        replica.wire_peers(replicas)
-    return replicas

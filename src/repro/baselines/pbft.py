@@ -58,9 +58,9 @@ TRUSTED_MACS = "trusted_macs"
 class _AuthenticatorCertifier:
     """PBFT's classic certification: digest once, one MAC per receiver."""
 
-    def __init__(self, me: str, receivers: list[str], group_secret: bytes, charge):
+    def __init__(self, me: str, receivers: list[str], group_secret: bytes, charge, profile=JAVA):
         self.receivers = receivers
-        self.provider = CryptoProvider(JAVA, charge=charge)
+        self.provider = CryptoProvider(profile, charge=charge)
         self.factory = AuthenticatorFactory(me, group_secret, self.provider)
 
     def create(self, message) -> Any:
@@ -125,6 +125,7 @@ class PbftPillar(Stage):
         index: int,
         certifier,
         f_pbft: int,
+        crypto_profile=JAVA,
     ):
         super().__init__(endpoint, thread, f"pillar{index}")
         self.config = config
@@ -132,7 +133,7 @@ class PbftPillar(Stage):
         self.index = index
         self.certifier = certifier
         self.f_pbft = f_pbft
-        self.client_crypto = CryptoProvider(JAVA, charge=endpoint.sim.charge)
+        self.client_crypto = CryptoProvider(crypto_profile, charge=endpoint.sim.charge)
 
         self.view = 0
         # next order number this replica proposes (its own slots ascending);
@@ -152,7 +153,9 @@ class PbftPillar(Stage):
         self._remote_stable: dict[int, tuple[str, tuple[PbftCheckpoint, ...]]] = {}
         self._transfer_in_flight: int | None = None
 
-        self.peer_addresses: dict[str, Address] = {}
+        self.peer_addresses: dict[str, Address] = {
+            rid: (rid, self.name) for rid in config.replica_ids if rid != replica_id
+        }
         self.exec_address: Address | None = None
         self._noop_timer = None
 
@@ -538,6 +541,7 @@ class PbftReplica:
         tracer: Tracer = NULL_TRACER,
         message_base_cost_ns: int = 1_100,
         num_repliers: int = 2,
+        crypto_profile=JAVA,
     ):
         if config.n < 4 or (config.n - 1) % 3 != 0:
             raise ConfigurationError(f"PBFT needs n = 3f + 1 replicas, got n = {config.n}")
@@ -563,7 +567,7 @@ class PbftReplica:
                 certifier = _TrustedMacCertifier(trinx, self._expected_issuer(i))
             else:
                 certifier = _AuthenticatorCertifier(
-                    replica_id, receivers, config.group_secret, sim.charge
+                    replica_id, receivers, config.group_secret, sim.charge, crypto_profile
                 )
             self.pillars.append(
                 PbftPillar(
@@ -574,6 +578,7 @@ class PbftReplica:
                     i,
                     certifier,
                     self.f_pbft,
+                    crypto_profile,
                 )
             )
         self.execution = ExecutionStage(
@@ -582,7 +587,7 @@ class PbftReplica:
             config,
             replica_id,
             service,
-            CryptoProvider(JAVA, charge=sim.charge),
+            CryptoProvider(crypto_profile, charge=sim.charge),
             reply_payload_size=reply_payload_size,
         )
         self.handler = ClientHandler(
@@ -590,13 +595,13 @@ class PbftReplica:
             allocator.next("handler"),
             config,
             replica_id,
-            CryptoProvider(JAVA, charge=sim.charge),
+            CryptoProvider(crypto_profile, charge=sim.charge),
         )
         self.repliers = [
             ReplierStage(
                 self.endpoint,
                 allocator.next(f"replier{i}"),
-                CryptoProvider(JAVA, charge=sim.charge),
+                CryptoProvider(crypto_profile, charge=sim.charge),
                 f"replier{i}",
             )
             for i in range(num_repliers)
@@ -621,12 +626,8 @@ class PbftReplica:
         self.handler.pillar_addresses = pillar_addresses
         self.handler.exec_address = (node, "exec")
 
-    def wire_peers(self, replicas: list["PbftReplica"]) -> None:
-        for peer in replicas:
-            if peer.replica_id == self.replica_id:
-                continue
-            for index, pillar in enumerate(self.pillars):
-                pillar.peer_addresses[peer.replica_id] = (peer.replica_id, f"pillar{index}")
+    def start(self) -> None:
+        """PBFTcop arms no periodic timers."""
 
     @property
     def service(self) -> Service:
@@ -652,10 +653,10 @@ def build_pbft_group(
     tracer: Tracer = NULL_TRACER,
     message_base_cost_ns: int = 1_100,
 ) -> list[PbftReplica]:
-    """Build and wire a PBFTcop/HybridPBFT group (one replica per machine)."""
+    """Build a PBFTcop/HybridPBFT group (one replica per machine)."""
     if len(machines) != config.n:
         raise ConfigurationError(f"need {config.n} machines for {config.n} replicas")
-    replicas = [
+    return [
         PbftReplica(
             sim,
             network,
@@ -670,6 +671,3 @@ def build_pbft_group(
         )
         for machine, replica_id in zip(machines, config.replica_ids)
     ]
-    for replica in replicas:
-        replica.wire_peers(replicas)
-    return replicas

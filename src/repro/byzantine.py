@@ -145,6 +145,5 @@ def build_group_with_byzantine(
             )
         replicas.append(replica)
     for replica in replicas:
-        replica.wire_peers(replicas)
         replica.start()
     return replicas

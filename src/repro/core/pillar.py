@@ -121,8 +121,11 @@ class Pillar(Stage):
         # checker catches the resulting divergence (repro.scenarios).
         self.verify_trinx = True
 
-        # Wired by the replica builder.
-        self.peer_addresses: dict[str, Address] = {}  # replica id -> my-index pillar
+        # replica id -> the same-index pillar of every peer
+        self.peer_addresses: dict[str, Address] = {
+            rid: (rid, self.name) for rid in config.replica_ids if rid != replica_id
+        }
+        # Wired by the replica.
         self.exec_address: Address | None = None
         self.coordinator_address: Address | None = None
 

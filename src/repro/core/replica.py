@@ -141,15 +141,6 @@ class HybsterReplica:
         self.coordinator.exec_address = exec_address
         self.coordinator.handler_address = handler_address
 
-    def wire_peers(self, replicas: list["HybsterReplica"]) -> None:
-        """Connect this replica to the rest of the group."""
-        for peer in replicas:
-            if peer.replica_id == self.replica_id:
-                continue
-            for index, pillar in enumerate(self.pillars):
-                pillar.peer_addresses[peer.replica_id] = (peer.replica_id, f"pillar{index}")
-            self.coordinator.peer_exec_addresses[peer.replica_id] = (peer.replica_id, "exec")
-
     def start(self) -> None:
         """Arm periodic protocol timers (retransmission / fault suspicion)."""
         for pillar in self.pillars:
@@ -228,6 +219,5 @@ def build_group(
         for machine, replica_id in zip(machines, config.replica_ids)
     ]
     for replica in replicas:
-        replica.wire_peers(replicas)
         replica.start()
     return replicas

@@ -128,11 +128,13 @@ class ViewChangeCoordinator:
         self._stalled_vcs: list[_Combined] = []
         self._stalled_nvs: list[_Combined] = []
 
-        # Wired by the replica builder.
+        self.peer_exec_addresses: dict[str, Any] = {
+            rid: (rid, "exec") for rid in self.config.replica_ids if rid != host.replica_id
+        }
+        # Wired by the replica.
         self.local_pillar_addresses: list = []
         self.exec_address = None
         self.handler_address = None
-        self.peer_exec_addresses: dict[str, Any] = {}
 
         self.view_changes_completed = 0
 

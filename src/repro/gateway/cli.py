@@ -26,8 +26,7 @@ import sys
 from repro.clients.workload import CoordinationWorkload, KeyValueWorkload
 from repro.gateway.config import GatewayConfig
 from repro.loadgen.arrivals import ARRIVAL_KINDS
-from repro.net.peer import PeerConfig
-from repro.runtime.deployment import SERVICES, DeploymentSpec, build_deployment
+from repro.runtime.deployment import CRYPTO_PROFILES, SERVICES, DeploymentSpec, build_deployment
 from repro.runtime.live import LIVE_PROTOCOLS, build_live_deployment
 from repro.runtime.run import MS, run
 from repro.sim.rand import derive_seed
@@ -104,8 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch-size", type=int, default=1)
     parser.add_argument("--batch-linger-us", type=int, default=0,
                         help="hold a partial batch this long under light load")
-    parser.add_argument("--crypto", choices=("openssl", "java", "tcrypto", "real"),
-                        default="java",
+    parser.add_argument("--crypto", choices=CRYPTO_PROFILES, default="java",
                         help="crypto cost profile; 'real' times HMAC-SHA256 on this host")
     parser.add_argument("--rotation", action="store_true")
     parser.add_argument("--checkpoint-interval", type=int, default=128)
@@ -157,10 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.mode == "sim":
         result = run(build_deployment(spec), duration_ns=args.duration_ms * MS)
     else:
-        deployment = build_live_deployment(
-            spec, host=args.host, base_port=args.base_port,
-            peer_config=PeerConfig(pool_size=args.pool),
-        )
+        deployment = build_live_deployment(spec, host=args.host, base_port=args.base_port)
         result = run(deployment, duration_ns=int(args.duration * 1e9))
 
     print(result)

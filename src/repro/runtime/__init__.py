@@ -7,8 +7,9 @@ protocol plus two client machines — and the measurement methodology
 (saturating clients with bounded asynchronous request windows, average
 latency/throughput over a measurement interval after warm-up).
 
-:func:`build_deployment` builds the simulated cluster,
-:func:`repro.runtime.live.build_live_deployment` the same group over
+One assembly, two substrates: :func:`~repro.runtime.deployment.assemble`
+builds the cluster, :func:`build_deployment` on the simulator and
+:func:`repro.runtime.live.build_live_deployment` on asyncio over
 localhost TCP, and :func:`run` drives either one to a
 :class:`RunResult`.
 """

@@ -1,9 +1,13 @@
 """Deployment construction: protocols, machines, clients.
 
-``build_deployment`` turns a :class:`DeploymentSpec` into a fully wired
-simulated cluster: replica machines running the selected protocol
-configuration, client machines running the workload generators, and the
-network connecting them.
+:func:`assemble` turns a :class:`DeploymentSpec` into a fully wired
+cluster: replica machines running the selected protocol configuration,
+client machines running the workload generators, the optional gateway
+tier, and the network connecting them.  It is the only construction path;
+the substrate is what differs between modes.  :func:`build_deployment`
+hands it the simulator (``Simulator``, ``Network``, ``Machine``),
+:func:`repro.runtime.live.build_live_deployment` live mode's asyncio
+kernel, TCP transport and machines.
 
 Protocol names follow the paper's subjects (§6):
 
@@ -20,20 +24,21 @@ Protocol names follow the paper's subjects (§6):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Collection
 
-from repro.baselines.minbft import build_minbft_group
-from repro.baselines.pbft import AUTHENTICATORS, TRUSTED_MACS, build_pbft_group
+from repro.baselines.minbft import MinBftReplica
+from repro.baselines.pbft import AUTHENTICATORS, TRUSTED_MACS, PbftReplica
 from repro.clients.client import Client
 from repro.clients.workload import NullWorkload, Workload
 from repro.core.config import ReplicaGroupConfig
-from repro.core.replica import build_group
-from repro.crypto.costs import resolve_profile
+from repro.core.replica import HybsterReplica
+from repro.crypto.costs import PROFILES, resolve_profile
 from repro.crypto.provider import CryptoProvider
 from repro.errors import ConfigurationError
 from repro.gateway.config import GatewayConfig
 from repro.gateway.gateway import GatewayStage
 from repro.loadgen.arrivals import make_arrivals
+from repro.net.base import Transport
 from repro.sim.rand import derive_seed
 from repro.runtime.calibration import DEFAULT_CALIBRATION, CalibrationProfile
 from repro.services.coordination import CoordinationService
@@ -47,6 +52,8 @@ from repro.sim.resources import Machine
 from repro.sim.tracing import NULL_TRACER, Tracer
 
 PROTOCOLS = ("hybster-s", "hybster-x", "pbft", "hybrid-pbft", "minbft")
+# "real" times HMAC-SHA256 on this host (see repro.crypto.costs)
+CRYPTO_PROFILES = (*PROFILES, "real")
 
 SERVICES: dict[str, Callable] = {
     "null": NullService,
@@ -67,9 +74,9 @@ class DeploymentSpec:
     batch_size: int = 1
     batch_linger_ns: int = 0
     rotation: bool = False
-    # Named crypto cost profile ("openssl" | "java" | "tcrypto" | "real");
-    # "real" times HMAC-SHA256 on this host so simulated crypto costs match
-    # what live mode actually pays.
+    # Named crypto cost profile (one of CRYPTO_PROFILES); "real" times
+    # HMAC-SHA256 on this host so simulated crypto costs match what live
+    # mode actually pays.
     crypto_profile: str = "java"
     num_clients: int = 16
     client_window: int = 4
@@ -105,7 +112,13 @@ class DeploymentSpec:
 
 @dataclass
 class Deployment:
-    """A built cluster, ready for :func:`repro.runtime.run.run`."""
+    """A built cluster, ready for :func:`repro.runtime.run.run`.
+
+    ``sim`` and ``network`` are its substrate: a :class:`Simulator` and a
+    :class:`Network` here; a ``LiveKernel`` and a ``TcpTransport`` in a
+    :class:`~repro.runtime.live.LiveDeployment`, which holds only the
+    nodes its process hosts.
+    """
 
     spec: DeploymentSpec
     sim: Simulator
@@ -149,16 +162,48 @@ def _num_pillars(protocol: str, cores: int) -> int:
 
 def build_deployment(spec: DeploymentSpec, tracer: Tracer = NULL_TRACER) -> Deployment:
     """Construct the simulated cluster for ``spec``."""
+    sim = Simulator()
+    network = Network(sim, latency_ns=spec.latency_ns, default_bandwidth=spec.nic_bandwidth)
+    deployment = assemble(
+        Deployment, spec, tracer, sim, network,
+        lambda name: Machine(sim, name, cores=spec.cores, ht_enabled=spec.ht_enabled),
+    )
+    for replica in deployment.replicas:
+        replica.start()
+    return deployment
+
+
+def assemble(
+    cls: type[Deployment],
+    spec: DeploymentSpec,
+    tracer: Tracer,
+    sim: Simulator,
+    network: Transport,
+    make_machine: Callable[[str], Machine],
+    nodes: Collection[str] | None = None,
+) -> Deployment:
+    """Build ``spec``'s cluster on a substrate, as an instance of ``cls``.
+
+    The one construction path for both modes: ``sim``, ``network`` and
+    ``make_machine`` are the simulator's or live mode's, and only the
+    ``nodes`` given (default: every node) are built.  Replica timers are
+    not armed here; the caller starts the replicas once its substrate
+    runs.
+    """
     if spec.protocol not in PROTOCOLS:
         raise ConfigurationError(f"unknown protocol {spec.protocol!r}; expected one of {PROTOCOLS}")
     if spec.service not in SERVICES:
         raise ConfigurationError(f"unknown service {spec.service!r}; expected one of {sorted(SERVICES)}")
+    if spec.crypto_profile not in CRYPTO_PROFILES:
+        raise ConfigurationError(
+            f"unknown crypto profile {spec.crypto_profile!r}; expected one of {CRYPTO_PROFILES}"
+        )
 
-    sim = Simulator()
-    network = Network(sim, latency_ns=spec.latency_ns, default_bandwidth=spec.nic_bandwidth)
+    def local(node: str) -> bool:
+        return nodes is None or node in nodes
+
     cal = spec.calibration
     crypto_profile = resolve_profile(spec.crypto_profile)
-
     config = ReplicaGroupConfig(
         replica_ids=_replica_ids(spec.protocol),
         num_pillars=_num_pillars(spec.protocol, spec.cores),
@@ -169,75 +214,60 @@ def build_deployment(spec: DeploymentSpec, tracer: Tracer = NULL_TRACER) -> Depl
         window_size=spec.window_size,
         noop_delay_ns=spec.noop_delay_ns,
     )
-    machines = [
-        Machine(sim, rid, cores=spec.cores, ht_enabled=spec.ht_enabled)
-        for rid in config.replica_ids
-    ]
-    service_factory = SERVICES[spec.service]
 
     if spec.protocol in ("hybster-s", "hybster-x"):
-        replicas = build_group(
-            sim, network, machines, config, service_factory,
-            reply_payload_size=spec.reply_payload_size, tracer=tracer,
-            message_base_cost_ns=cal.message_base_cost_ns,
-            crypto_profile=crypto_profile,
-        )
-        stages = [
-            stage for replica in replicas for stage in replica.endpoint.stages.values()
-        ]
+        replica_cls, protocol_args = HybsterReplica, {}
     elif spec.protocol in ("pbft", "hybrid-pbft"):
         cert_mode = TRUSTED_MACS if spec.protocol == "hybrid-pbft" else AUTHENTICATORS
-        replicas = build_pbft_group(
-            sim, network, machines, config, service_factory, cert_mode=cert_mode,
-            reply_payload_size=spec.reply_payload_size, tracer=tracer,
-            message_base_cost_ns=cal.message_base_cost_ns,
-        )
-        stages = [
-            stage for replica in replicas for stage in replica.endpoint.stages.values()
-        ]
+        replica_cls, protocol_args = PbftReplica, {"cert_mode": cert_mode}
     else:  # minbft
-        replicas = build_minbft_group(
-            sim, network, machines, config, service_factory,
+        replica_cls, protocol_args = MinBftReplica, {}
+    machines = [make_machine(rid) for rid in config.replica_ids if local(rid)]
+    replicas = [
+        replica_cls(
+            sim, network, machine, config, machine.name, SERVICES[spec.service](),
             reply_payload_size=spec.reply_payload_size, tracer=tracer,
-            message_base_cost_ns=cal.message_base_cost_ns,
+            message_base_cost_ns=cal.message_base_cost_ns, crypto_profile=crypto_profile,
+            **protocol_args,
         )
-        stages = list(replicas)
-
-    for stage in stages:
-        stage.send_cost_ns = cal.send_cost_ns
-        stage.control_send_cost_ns = cal.control_send_cost_ns
-        stage.local_send_cost_ns = cal.local_send_cost_ns
+        for machine in machines
+    ]
+    for replica in replicas:
+        for stage in replica.endpoint.stages.values():
+            stage.send_cost_ns = cal.send_cost_ns
+            stage.control_send_cost_ns = cal.control_send_cost_ns
+            stage.local_send_cost_ns = cal.local_send_cost_ns
 
     # ------------------------------------------------------------------
     # Client machines (the paper dedicates two quad-core hosts)
     # ------------------------------------------------------------------
-    client_machines = [
-        Machine(sim, f"clients{i}", cores=spec.cores, ht_enabled=spec.ht_enabled)
-        for i in range(spec.client_machines)
-    ]
-    endpoints = [Endpoint(sim, network, machine.name, tracer) for machine in client_machines]
-    threads = {machine.name: [] for machine in client_machines}
-    for machine in client_machines:
-        for t in range(machine.hardware_threads):
-            threads[machine.name].append(
-                machine.allocate_thread(f"cthread{t}", base_cost_ns=cal.client_base_cost_ns)
-            )
+    client_nodes = [f"clients{i}" for i in range(spec.client_machines)]
+    client_machines = [make_machine(node) for node in client_nodes if local(node)]
+    endpoints = {
+        machine.name: Endpoint(sim, network, machine.name, tracer) for machine in client_machines
+    }
+    threads = {
+        machine.name: [
+            machine.allocate_thread(f"cthread{t}", base_cost_ns=cal.client_base_cost_ns)
+            for t in range(machine.hardware_threads)
+        ]
+        for machine in client_machines
+    }
 
     clients: list[Client] = []
     for index in range(spec.num_clients):
-        machine_index = index % len(client_machines)
-        machine = client_machines[machine_index]
-        endpoint = endpoints[machine_index]
-        pool = threads[machine.name]
-        thread = pool[(index // len(client_machines)) % len(pool)]
+        node = client_nodes[index % len(client_nodes)]
+        if not local(node):
+            continue
+        pool = threads[node]
+        thread = pool[(index // len(client_nodes)) % len(pool)]
         name = f"c{index}"
-        client_id = f"{machine.name}:{name}"
         client = Client(
-            endpoint,
+            endpoints[node],
             thread,
             config,
             name,
-            spec.make_workload(client_id, index),
+            spec.make_workload(f"{node}:{name}", index),
             window=spec.client_window,
             crypto=CryptoProvider(crypto_profile, charge=sim.charge),
         )
@@ -257,7 +287,9 @@ def build_deployment(spec: DeploymentSpec, tracer: Tracer = NULL_TRACER) -> Depl
                 if handler is not None:
                     handler.sticky_client_pillars = True
         for node in spec.gateway_nodes():
-            machine = Machine(sim, node, cores=spec.cores, ht_enabled=spec.ht_enabled)
+            if not local(node):
+                continue
+            machine = make_machine(node)
             gateway_machines.append(machine)
             # a gateway fronts a whole client population: give it 4x the
             # per-machine NIC of a single client host
@@ -286,7 +318,7 @@ def build_deployment(spec: DeploymentSpec, tracer: Tracer = NULL_TRACER) -> Depl
             gateway.control_send_cost_ns = cal.client_send_cost_ns
             gateways.append(gateway)
 
-    return Deployment(
+    return cls(
         spec=spec,
         sim=sim,
         network=network,

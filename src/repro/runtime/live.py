@@ -15,12 +15,16 @@ and real localhost sockets.  Three small adapters make that possible:
 * :class:`~repro.net.transport.TcpTransport` — carries stage envelopes
   as codec frames over per-peer TCP connections.
 
-``build_live_deployment`` reuses :class:`~repro.runtime.deployment.
-DeploymentSpec` so a benchmark configuration can be replayed live without
-translation (simulation-only fields — NIC bandwidth, latency, the
-calibration profile — are ignored).  A process can host the whole group
-(``local_nodes=None``, the default: in-process tasks over localhost
-sockets) or any subset of nodes (one OS process per node, as
+``build_live_deployment`` builds the cluster with the simulator's own
+assembly (:func:`repro.runtime.deployment.assemble`): one construction
+path, two substrates.  Only the substrate is live — this kernel, the TCP
+transport and :class:`LiveMachine` — plus what only a live run needs:
+the listen-address directory, and arming the replicas' timers in
+:meth:`LiveDeployment.start` once the sockets are bound.  Simulation-only
+fields of the spec (NIC bandwidth, latency, the calibration costs, which
+``LiveKernel.charge`` drops) have no effect.  A process can host the
+whole group (``local_nodes=None``, the default: in-process tasks over
+localhost sockets) or any subset of nodes (one OS process per node, as
 :mod:`repro.scenarios.livenode` runs scenarios with ``run.processes``).
 :func:`repro.runtime.run.run` drives either.
 """
@@ -31,23 +35,16 @@ import argparse
 import asyncio
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.clients.client import Client
-from repro.core.config import ReplicaGroupConfig
-from repro.core.replica import HybsterReplica
-from repro.crypto.costs import resolve_profile
-from repro.crypto.provider import CryptoProvider
 from repro.errors import ConfigurationError
-from repro.gateway.gateway import GatewayStage
-from repro.loadgen.arrivals import make_arrivals
 from repro.net.peer import PeerConfig
 from repro.net.transport import TcpTransport
-from repro.runtime.deployment import SERVICES, DeploymentSpec, _num_pillars, _replica_ids
+from repro.runtime.deployment import (
+    CRYPTO_PROFILES, SERVICES, Deployment, DeploymentSpec, _replica_ids, assemble,
+)
 from repro.runtime.run import run
-from repro.sim.process import Endpoint
-from repro.sim.rand import derive_seed
 from repro.sim.tracing import NULL_TRACER, Tracer
 
 LIVE_PROTOCOLS = ("hybster-s", "hybster-x")
@@ -212,18 +209,16 @@ def live_directory(
 
 
 @dataclass
-class LiveDeployment:
+class LiveDeployment(Deployment):
     """A (possibly partial) live cluster hosted by this process."""
 
-    spec: DeploymentSpec
-    kernel: LiveKernel
-    transport: TcpTransport
-    config: ReplicaGroupConfig
-    replicas: list[HybsterReplica]
-    clients: list[Client]
-    local_nodes: tuple[str, ...]
-    tracer: Tracer = NULL_TRACER
-    gateways: list[GatewayStage] = field(default_factory=list)
+    @property
+    def kernel(self) -> LiveKernel:
+        return self.sim  # type: ignore[return-value]
+
+    @property
+    def transport(self) -> TcpTransport:
+        return self.network  # type: ignore[return-value]
 
     async def start(self) -> None:
         """Bind listen sockets and arm the replicas' protocol timers."""
@@ -231,27 +226,10 @@ class LiveDeployment:
         for replica in self.replicas:
             replica.start()
 
-    def start_clients(self) -> None:
-        for client in self.clients:
-            client.start()
-        for gateway in self.gateways:
-            gateway.start()
-
-    def stop_clients(self) -> None:
-        for client in self.clients:
-            client.stop()
-        for gateway in self.gateways:
-            gateway.stop()
-
     async def stop(self) -> None:
         """Cancel every timer and close every socket this process owns."""
         self.kernel.cancel_all()
         await self.transport.stop()
-
-    def total_completed(self) -> int:
-        return sum(client.completed for client in self.clients) + sum(
-            gateway.completed for gateway in self.gateways
-        )
 
 
 def build_live_deployment(
@@ -261,148 +239,36 @@ def build_live_deployment(
     host: str = "127.0.0.1",
     base_port: int = 0,
     local_nodes: list[str] | None = None,
-    peer_config: PeerConfig = PeerConfig(),
+    peer_config: PeerConfig | None = None,
 ) -> LiveDeployment:
     """Construct the live cluster (or this process's share of it).
 
-    ``local_nodes=None`` hosts every replica and client machine in this
-    process; otherwise only the named nodes are built — the rest of the
+    ``local_nodes=None`` hosts every node of the group in this process;
+    otherwise only the named nodes are built — the rest of the
     group is expected to run elsewhere and is reached via the directory.
+    Without a ``peer_config`` the transport opens the spec's
+    ``gateway.connection_pool`` connections per peer.
     """
     if spec.protocol not in LIVE_PROTOCOLS:
         raise ConfigurationError(
             f"live mode supports {LIVE_PROTOCOLS}, not {spec.protocol!r} "
             "(the baseline protocols still run in the simulator)"
         )
-    if spec.service not in SERVICES:
-        raise ConfigurationError(f"unknown service {spec.service!r}")
+    directory = live_directory(spec, host, base_port)
+    unknown = set(local_nodes or ()) - set(directory)
+    if unknown:
+        raise ConfigurationError(f"nodes {sorted(unknown)} are not part of the group")
+    if peer_config is None:
+        peer_config = PeerConfig(pool_size=spec.gateway.connection_pool if spec.gateway else 1)
 
     kernel = LiveKernel()
-    directory = live_directory(spec, host, base_port)
     # The transport shares the kernel clock so chaos filters (crash
     # windows, delay schedules) see the same timeline as stage timers.
     transport = TcpTransport(directory, peer_config=peer_config, clock=lambda: kernel.now)
-
-    replica_ids = _replica_ids(spec.protocol)
-    client_nodes = tuple(f"clients{j}" for j in range(spec.client_machines))
-    gateway_nodes = spec.gateway_nodes()
-    if local_nodes is None:
-        local = tuple(replica_ids) + client_nodes + gateway_nodes
-    else:
-        unknown = set(local_nodes) - set(directory)
-        if unknown:
-            raise ConfigurationError(f"nodes {sorted(unknown)} are not part of the group")
-        local = tuple(local_nodes)
-
-    crypto_profile = resolve_profile(spec.crypto_profile)
-    config = ReplicaGroupConfig(
-        replica_ids=replica_ids,
-        num_pillars=_num_pillars(spec.protocol, spec.cores),
-        batch_size=spec.batch_size,
-        batch_linger_ns=spec.batch_linger_ns,
-        rotation=spec.rotation,
-        checkpoint_interval=spec.checkpoint_interval,
-        window_size=spec.window_size,
-        noop_delay_ns=spec.noop_delay_ns,
+    return assemble(  # type: ignore[return-value] — duck-typed substrate
+        LiveDeployment, spec, tracer, kernel, transport,
+        lambda name: LiveMachine(kernel, name), local_nodes,
     )
-    service_factory = SERVICES[spec.service]
-
-    replicas: list[HybsterReplica] = []
-    for rid in replica_ids:
-        if rid not in local:
-            continue
-        machine = LiveMachine(kernel, rid)
-        replica = HybsterReplica(
-            kernel,  # type: ignore[arg-type] — duck-typed Simulator surface
-            transport,
-            machine,  # type: ignore[arg-type] — duck-typed Machine surface
-            config,
-            rid,
-            service_factory(),
-            reply_payload_size=spec.reply_payload_size,
-            tracer=tracer,
-            crypto_profile=crypto_profile,
-        )
-        _wire_peer_addresses(replica, config)
-        if spec.gateway is not None and spec.gateway.sticky_pillars:
-            replica.handler.sticky_client_pillars = True
-        replicas.append(replica)
-
-    clients: list[Client] = []
-    for j, node in enumerate(client_nodes):
-        if node not in local:
-            continue
-        machine = LiveMachine(kernel, node)
-        endpoint = Endpoint(kernel, transport, node, tracer)  # type: ignore[arg-type]
-        for index in range(spec.num_clients):
-            if index % spec.client_machines != j:
-                continue
-            name = f"c{index}"
-            client_id = f"{node}:{name}"
-            clients.append(
-                Client(
-                    endpoint,
-                    machine.allocate_thread(name),  # type: ignore[arg-type]
-                    config,
-                    name,
-                    spec.make_workload(client_id, index),
-                    window=spec.client_window,
-                    crypto=CryptoProvider(crypto_profile, charge=kernel.charge),
-                )
-            )
-
-    gateways: list[GatewayStage] = []
-    for node in gateway_nodes:
-        if node not in local:
-            continue
-        machine = LiveMachine(kernel, node)
-        endpoint = Endpoint(kernel, transport, node, tracer)  # type: ignore[arg-type]
-        arrivals = make_arrivals(
-            spec.gateway.arrivals,
-            spec.gateway.rate_ops,
-            derive_seed(spec.seed, "gateway", node, "arrivals"),
-            **spec.gateway.arrival_params(),
-        )
-        gateways.append(
-            GatewayStage(
-                endpoint,
-                machine.allocate_thread("gateway"),  # type: ignore[arg-type]
-                config,
-                spec.gateway,
-                arrivals,
-                spec.make_workload,
-                seed=spec.seed,
-                crypto=CryptoProvider(crypto_profile, charge=kernel.charge),
-            )
-        )
-
-    return LiveDeployment(
-        spec=spec,
-        kernel=kernel,
-        transport=transport,
-        config=config,
-        replicas=replicas,
-        clients=clients,
-        local_nodes=local,
-        tracer=tracer,
-        gateways=gateways,
-    )
-
-
-def _wire_peer_addresses(replica: HybsterReplica, config: ReplicaGroupConfig) -> None:
-    """Point a replica at its peers by name alone.
-
-    The simulated builder wires peers object-to-object; live replicas may
-    live in different OS processes, but peer addresses are fully
-    determined by the group configuration (pillar counts are identical
-    across the group), so names suffice.
-    """
-    for peer_id in config.replica_ids:
-        if peer_id == replica.replica_id:
-            continue
-        for index, pillar in enumerate(replica.pillars):
-            pillar.peer_addresses[peer_id] = (peer_id, f"pillar{index}")
-        replica.coordinator.peer_exec_addresses[peer_id] = (peer_id, "exec")
 
 
 # ----------------------------------------------------------------------
@@ -438,8 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch-size", type=int, default=1)
     parser.add_argument("--batch-linger-us", type=int, default=0,
                         help="hold a partial batch this long under light load")
-    parser.add_argument("--crypto", choices=("openssl", "java", "tcrypto", "real"),
-                        default="java",
+    parser.add_argument("--crypto", choices=CRYPTO_PROFILES, default="java",
                         help="crypto cost profile; 'real' times HMAC-SHA256 on this host")
     parser.add_argument("--rotation", action="store_true")
     parser.add_argument("--clients", type=int, default=4)

@@ -25,11 +25,15 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import TYPE_CHECKING
 
 from repro.clients.stats import LatencyStats
 from repro.loadgen.slo import SLOReport
 from repro.runtime.deployment import Deployment
+from repro.sim.kernel import Simulator
+
+if TYPE_CHECKING:
+    from repro.runtime.live import LiveDeployment
 
 MS = 1_000_000
 POLL_NS = 20 * MS   # how often a stop condition is checked, on the run's own clock
@@ -144,11 +148,11 @@ class RunResult:
 # The driver
 # ----------------------------------------------------------------------
 def run(
-    deployment: Any, *, duration_ns: int, requests: int = 0, warmup_ns: int = 0
+    deployment: Deployment, *, duration_ns: int, requests: int = 0, warmup_ns: int = 0
 ) -> RunResult:
     """Run ``deployment`` for ``duration_ns`` after ``warmup_ns``, or until
     ``requests`` completed in the window (0: no request target)."""
-    if not isinstance(deployment, Deployment):
+    if not isinstance(deployment.sim, Simulator):
         return asyncio.run(
             run_async(deployment, duration_ns=duration_ns, requests=requests, warmup_ns=warmup_ns)
         )
@@ -156,7 +160,7 @@ def run(
     deployment.start_clients()
     if warmup_ns:
         sim.run(until=sim.now + warmup_ns)
-    window = _Window.open(deployment, deployment.network, sim.now, reset=bool(warmup_ns))
+    window = _Window.open(deployment, sim.now, reset=bool(warmup_ns))
     end = window.start_ns + duration_ns
     while sim.now < end and not window.reached(requests):
         sim.run(until=min(end, sim.now + POLL_NS) if requests else end)
@@ -167,7 +171,7 @@ def run(
 
 
 async def run_async(
-    deployment: Any,
+    deployment: LiveDeployment,
     *,
     duration_ns: int,
     requests: int = 0,
@@ -184,7 +188,7 @@ async def run_async(
         deployment.start_clients()
         if warmup_ns:
             await asyncio.sleep(warmup_ns / 1e9)
-        window = _Window.open(deployment, deployment.transport, kernel.now, reset=bool(warmup_ns))
+        window = _Window.open(deployment, kernel.now, reset=bool(warmup_ns))
         end = window.start_ns + duration_ns
         while kernel.now < end and not window.reached(requests):
             if stop is not None and stop.is_set():
@@ -201,30 +205,30 @@ async def run_async(
 class _Window:
     """The counters at the start of the measured window."""
 
-    deployment: Any
-    net: Any  # the simulated Network or the live TcpTransport
+    deployment: Deployment
     start_ns: int
     completed: int
     busy_ns: int
     bytes_sent: int
 
     @classmethod
-    def open(cls, deployment: Any, net: Any, now_ns: int, reset: bool) -> "_Window":
+    def open(cls, deployment: Deployment, now_ns: int, reset: bool) -> "_Window":
         if reset:  # drop the warm-up's latency samples
             for client in deployment.clients:
                 client.stats = LatencyStats()
             for gateway in deployment.gateways:
                 gateway.stats.latency = LatencyStats()
         return cls(
-            deployment, net, now_ns, deployment.total_completed(),
-            _replica_busy_ns(deployment), _bytes_sent(deployment, net),
+            deployment, now_ns, deployment.total_completed(),
+            _replica_busy_ns(deployment), _bytes_sent(deployment),
         )
 
     def reached(self, requests: int) -> bool:
         return bool(requests) and self.deployment.total_completed() - self.completed >= requests
 
     def collect(self, now_ns: int, mode: str) -> RunResult:
-        deployment, net = self.deployment, self.net
+        deployment = self.deployment
+        net = deployment.network  # the simulated Network or the live TcpTransport
         elapsed_ns = now_ns - self.start_ns
         latency = LatencyStats()
         for client in deployment.clients:
@@ -245,7 +249,7 @@ class _Window:
             latency=latency,
             retries=sum(client.retries for client in deployment.clients)
             + sum(gateway.stats.timeouts for gateway in deployment.gateways),
-            bytes_sent=_bytes_sent(deployment, net) - self.bytes_sent,
+            bytes_sent=_bytes_sent(deployment) - self.bytes_sent,
             replica_busy_ns=_replica_busy_ns(deployment) - self.busy_ns,
             replica_threads=sum(len(replica.machine.threads) for replica in replicas),
             chaos_dropped=net.chaos_dropped,
@@ -257,14 +261,14 @@ class _Window:
         )
 
 
-def _replica_busy_ns(deployment: Any) -> int:
+def _replica_busy_ns(deployment: Deployment) -> int:
     return sum(
         thread.busy_ns for replica in deployment.replicas for thread in replica.machine.threads
     )
 
 
-def _bytes_sent(deployment: Any, net: Any) -> int:
+def _bytes_sent(deployment: Deployment) -> int:
     nodes = {replica.replica_id for replica in deployment.replicas}
     nodes.update(client.endpoint.node for client in deployment.clients)
     nodes.update(gateway.endpoint.node for gateway in deployment.gateways)
-    return sum(net.interface(node).bytes_sent for node in nodes)
+    return sum(deployment.network.interface(node).bytes_sent for node in nodes)

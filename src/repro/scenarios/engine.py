@@ -159,7 +159,7 @@ def _run_in_process(spec: ScenarioSpec, seed_override: int | None, tracer: Trace
     deployment_spec = spec.deployment_spec(seed_override)
     if spec.mode == "sim":
         deployment = build_deployment(deployment_spec, tracer=tracer)
-        install_faults(spec, deployment, deployment.network, seed_override)
+        install_faults(spec, deployment, seed_override)
         # run.requests is a live-only early stop: a sim run covers its duration
         return run(deployment, duration_ns=spec.duration_ms * MS)
     # imported here: repro.runtime.live pulls in asyncio transport machinery
@@ -171,14 +171,13 @@ def _run_in_process(spec: ScenarioSpec, seed_override: int | None, tracer: Trace
     )
 
 
-def install_faults(
-    spec: ScenarioSpec, deployment: Any, net: Any, seed_override: int | None
-) -> list[Any]:
-    """Put the scenario's chaos filters on ``net`` (the deployment's network
-    or transport) and apply its TrInX setting; returns the filters."""
+def install_faults(spec: ScenarioSpec, deployment: Any, seed_override: int | None) -> list[Any]:
+    """Put the scenario's chaos filters on the deployment's network (the
+    simulated one or the live transport) and apply its TrInX setting;
+    returns the filters."""
     chaos_filters = spec.build_filters(seed_override)
     for chaos_filter in chaos_filters:
-        net.add_filter(chaos_filter)
+        deployment.network.add_filter(chaos_filter)
     if not spec.trinx_verification:
         for replica in deployment.replicas:
             for pillar in getattr(replica, "pillars", ()):
@@ -203,7 +202,7 @@ async def run_live_scenario(
     start: recovery then exercises the transport's reconnect/backoff path,
     exactly as after a real process crash.
     """
-    chaos_filters = install_faults(spec, deployment, deployment.transport, seed_override)
+    chaos_filters = install_faults(spec, deployment, seed_override)
     kernel, transport = deployment.kernel, deployment.transport
     for chaos_filter in chaos_filters:
         if isinstance(chaos_filter, CrashWindows):

@@ -40,11 +40,12 @@ import tempfile
 
 from repro.errors import ConfigurationError
 from repro.runtime.deployment import _replica_ids
+from repro.runtime.live import live_directory
 from repro.runtime.run import MS, RunResult
 from repro.sim.tracing import NULL_TRACER, Tracer
 
 # Scan for a free, contiguous port block starting here; stride past the
-# whole node layout (gateways sit at base + 96 + k) between candidates.
+# whole node layout (see live_directory) between candidates.
 PORT_SCAN_START = 47200
 PORT_SCAN_STRIDE = 128
 PORT_SCAN_END = 60000
@@ -53,19 +54,10 @@ PORT_SCAN_END = 60000
 REPLICA_GRACE_MS = 20_000
 
 
-def _node_ports(spec) -> list[int]:
-    """Port *offsets* the live directory will use for ``spec``'s nodes."""
-    offsets = list(range(len(_replica_ids(spec.protocol))))
-    offsets += [64 + j for j in range(spec.client_machines)]
-    offsets += [96 + k for k in range(len(spec.gateway_nodes()))]
-    return offsets
-
-
 def find_base_port(spec) -> int:
     """First base port whose whole node layout binds cleanly right now."""
-    offsets = _node_ports(spec)
     for base in range(PORT_SCAN_START, PORT_SCAN_END, PORT_SCAN_STRIDE):
-        if all(_bindable(base + off) for off in offsets):
+        if all(_bindable(port) for _, port in live_directory(spec, base_port=base).values()):
             return base
     raise ConfigurationError("no free port block found for a process-per-node run")
 
@@ -84,7 +76,6 @@ def _bindable(port: int) -> bool:
 # Child: run one node of the scenario
 # ----------------------------------------------------------------------
 async def _child_amain(args: argparse.Namespace) -> int:
-    from repro.net.peer import PeerConfig
     from repro.runtime.live import build_live_deployment
     from repro.scenarios.engine import TRACE_CATEGORIES, run_live_scenario
     from repro.scenarios.spec import load_scenario
@@ -93,14 +84,12 @@ async def _child_amain(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else spec.seed
     deployment_spec = spec.deployment_spec(seed)
     tracer = Tracer(enabled=True, categories=TRACE_CATEGORIES) if args.trace_out else NULL_TRACER
-    pool = deployment_spec.gateway.connection_pool if deployment_spec.gateway else 1
     deployment = build_live_deployment(
         deployment_spec,
         tracer=tracer,
         host=args.host,
         base_port=args.base_port,
         local_nodes=[args.node],
-        peer_config=PeerConfig(pool_size=pool),
     )
 
     # the parent stops replica children with SIGTERM; the run then ends

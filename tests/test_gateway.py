@@ -13,7 +13,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gateway.config import GatewayConfig
-from repro.net.peer import PeerConfig
 from repro.runtime.deployment import DeploymentSpec, build_deployment
 from repro.runtime.live import build_live_deployment
 from repro.runtime.run import RunResult, run
@@ -57,8 +56,7 @@ def sim_run(spec: DeploymentSpec, duration_ms: int, tracer: Tracer = NULL_TRACER
 
 
 def live_run(spec: DeploymentSpec, duration_s: float) -> RunResult:
-    peer_config = PeerConfig(pool_size=spec.gateway.connection_pool)
-    deployment = build_live_deployment(spec, peer_config=peer_config)
+    deployment = build_live_deployment(spec)
     return run(deployment, duration_ns=int(duration_s * 1e9))
 
 

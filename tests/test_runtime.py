@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.gateway.config import GatewayConfig
 from repro.runtime.calibration import CalibrationProfile
 from repro.runtime.deployment import PROTOCOLS, DeploymentSpec, build_deployment
 from repro.runtime.live import build_live_deployment
@@ -38,6 +39,24 @@ class TestDeploymentBuilder:
         with pytest.raises(ConfigurationError):
             build_deployment(DeploymentSpec(service="mysql"))
 
+    def test_unknown_crypto_profile_rejected(self):
+        with pytest.raises(ConfigurationError, match="crypto profile"):
+            build_deployment(DeploymentSpec(crypto_profile="rot13"))
+
+    @pytest.mark.parametrize("protocol", ["pbft", "hybrid-pbft", "minbft"])
+    def test_baselines_charge_the_chosen_crypto_profile(self, protocol):
+        def build(profile):
+            return build_deployment(DeploymentSpec(
+                protocol=protocol, num_clients=4, client_window=2, crypto_profile=profile,
+            ))
+
+        openssl = build("openssl")
+        assert _replica_crypto_profiles(openssl) == {"openssl"}
+        java = run(build("java"), duration_ns=20 * MS)
+        cheaper = run(openssl, duration_ns=20 * MS)
+        # OpenSSL MACs and digests are cheaper than Java's per request
+        assert cheaper.replica_busy_ns / cheaper.completed < java.replica_busy_ns / java.completed
+
     def test_clients_spread_over_machines(self):
         deployment = build_deployment(DeploymentSpec(num_clients=10, client_machines=2))
         nodes = {client.endpoint.node for client in deployment.clients}
@@ -59,6 +78,63 @@ class TestDeploymentBuilder:
         result = run(deployment, warmup_ns=10 * MS, duration_ns=20 * MS)
         assert result.completed > 0
         assert result.throughput_ops > 0
+
+
+def _replica_crypto_profiles(deployment) -> set[str]:
+    """Names of the cost profiles behind every replica stage's CryptoProvider."""
+    profiles = set()
+    for replica in deployment.replicas:
+        for stage in replica.endpoint.stages.values():
+            certifier = getattr(stage, "certifier", None)
+            for owner, attr in ((stage, "crypto"), (stage, "client_crypto"), (certifier, "provider")):
+                provider = getattr(owner, attr, None)
+                if provider is not None:
+                    profiles.add(provider.profile.name)
+    return profiles
+
+
+def _cluster_shape(deployment) -> dict:
+    """Everything the one assembly decides, minus the substrate."""
+    endpoints = [replica.endpoint for replica in deployment.replicas]
+    endpoints += [client.endpoint for client in deployment.clients]
+    endpoints += [gateway.endpoint for gateway in deployment.gateways]
+    return {
+        "replicas": [replica.replica_id for replica in deployment.replicas],
+        "stages": {endpoint.node: list(endpoint.stages) for endpoint in endpoints},
+        "pillar_peers": [
+            list(pillar.peer_addresses.items())
+            for replica in deployment.replicas for pillar in replica.pillars
+        ],
+        "exec_peers": [
+            list(replica.coordinator.peer_exec_addresses.items())
+            for replica in deployment.replicas
+        ],
+        "clients": [
+            (client.client_id, client.window, client.endpoint.node) for client in deployment.clients
+        ],
+        "gateways": [gateway.endpoint.node for gateway in deployment.gateways],
+    }
+
+
+class TestOneAssembly:
+    """The simulator and live mode build the same cluster from one spec."""
+
+    def test_sim_and_live_build_the_same_cluster(self):
+        spec = DeploymentSpec(
+            protocol="hybster-x", cores=2, num_clients=5, client_window=3, client_machines=2,
+            gateway=GatewayConfig(sessions=4, rate_ops=100.0),
+        )
+        sim_shape = _cluster_shape(build_deployment(spec))
+        assert sim_shape == _cluster_shape(build_live_deployment(spec))
+        assert sim_shape["pillar_peers"][0] == [("r1", ("r1", "pillar0")), ("r2", ("r2", "pillar0"))]
+        assert sim_shape["gateways"] == ["gw0"]
+
+    def test_live_transport_opens_the_specs_connection_pool(self):
+        spec = DeploymentSpec(
+            protocol="hybster-s", num_clients=0,
+            gateway=GatewayConfig(sessions=2, rate_ops=10.0, connection_pool=3),
+        )
+        assert build_live_deployment(spec).transport.peer_config.pool_size == 3
 
 
 class TestBenchmarkHarness:

@@ -368,6 +368,13 @@ def test_engine_runs_fault_free_sim_scenario():
     assert result.safety.reads_checked > 0
 
 
+def test_engine_reports_an_unknown_crypto_profile_as_a_scenario_error():
+    spec = _mini_spec()
+    result = run_scenario(_mini_spec(deployment={**spec.deployment, "crypto_profile": "rot13"}))
+    assert result.verdict == "ERROR"
+    assert "crypto profile" in result.error
+
+
 def test_engine_applies_chaos_and_reports_counters():
     result = run_scenario(
         _mini_spec(
