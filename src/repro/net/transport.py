@@ -12,6 +12,13 @@ The transport speaks :class:`~repro.sim.process.Envelope` on the inside
 (the same object the simulated network moves by reference) and codec
 frames on the outside.  ``Stage`` code is byte-for-byte identical in sim
 and live mode; only the object handed to ``Endpoint`` differs.
+
+A broadcast is encoded once.  ``Stage.broadcast`` sends each peer its
+own ``Envelope`` around the same payload, one after the other, so the
+transport keeps the last frame, keyed by payload identity, source
+address and destination stage, and reuses it for the next send with the
+same key.  That relies on messages being frozen dataclasses whose
+contents are not mutated between the sends of one broadcast.
 """
 
 from __future__ import annotations
@@ -60,6 +67,8 @@ class TcpTransport:
         self._pool_rr: dict[tuple[str, str], int] = {}
         self._stats: dict[str, TransportStats] = {}
         self._started = False
+        # (payload, source address, destination stage, frame) of the last send
+        self._last_frame: tuple[Any, Any, str, bytes] = (None, None, "", b"")
         self.messages_sent = 0
         self.messages_dropped = 0
         # Chaos injection (see repro.chaos): filters applied on the send
@@ -95,11 +104,6 @@ class TcpTransport:
 
     def send(self, src: str, dst: str, message: Any, size: int) -> None:
         """Encode and ship one stage envelope from ``src`` to ``dst``."""
-        self._send_one(src, dst, message, size, None)
-
-    def _send_one(
-        self, src: str, dst: str, message: Any, size: int, frame_cache: dict | None
-    ) -> None:
         if src not in self._receivers:
             raise TransportError(f"unknown sender {src!r}")
         if dst not in self.directory:
@@ -107,7 +111,6 @@ class TcpTransport:
         stats = self._stats[src]
         self.messages_sent += 1
 
-        original = message
         extra_delay_ns = 0
         if self._filters:
             now = self._clock()
@@ -124,19 +127,20 @@ class TcpTransport:
                     self.chaos_injected += 1
                     stats.chaos_injected += 1
 
-        # A multicast encodes the (unreplaced) envelope once and reuses the
-        # frame for every destination; a chaos replacement falls back to a
-        # per-destination encode since its bytes differ.
-        if frame_cache is not None and message is original and "frame" in frame_cache:
-            frame = frame_cache["frame"]
+        # `message` is a repro.sim.process.Envelope; unwrap its addressing.
+        src_addr = getattr(message, "src", (src, "?"))
+        dst_stage = getattr(message, "dst_stage", "?")
+        payload = getattr(message, "message", message)
+        # The frame depends only on the payload, the source address and the
+        # destination stage: reuse the last one (see the module docstring).
+        # The memo holds the payload, so its id cannot be recycled while
+        # cached; a chaos replacement is another object, encoded fresh.
+        memo = self._last_frame
+        if memo[0] is payload and memo[1] == src_addr and memo[2] == dst_stage:
+            frame = memo[3]
         else:
-            # `message` is a repro.sim.process.Envelope; unwrap its addressing.
-            src_addr = getattr(message, "src", (src, "?"))
-            dst_stage = getattr(message, "dst_stage", "?")
-            payload = getattr(message, "message", message)
             frame = self.codec.encode_envelope(src_addr[0], src_addr[1], dst_stage, payload)
-            if frame_cache is not None and message is original:
-                frame_cache["frame"] = frame
+            self._last_frame = (payload, src_addr, dst_stage, frame)
 
         if extra_delay_ns > 0:
             self.chaos_delayed += 1
@@ -163,9 +167,9 @@ class TcpTransport:
             stats.send_queue_drops += 1
 
     def multicast(self, src: str, dsts: list[str], message: Any, size: int) -> None:
-        frame_cache: dict = {}
+        """Send ``message`` to each of ``dsts``; the frame is encoded once."""
         for dst in dsts:
-            self._send_one(src, dst, message, size, frame_cache)
+            self.send(src, dst, message, size)
 
     def interface(self, name: str) -> TransportStats:
         """Traffic counters for a node (parity with ``Network.interface``)."""

@@ -19,22 +19,29 @@ including nested messages, TrInX certificates, and MAC authenticators.
 Malformed or tampered bytes raise typed errors
 (:class:`~repro.errors.WireFormatError`,
 :class:`~repro.errors.WireIntegrityError`) instead of yielding garbage.
+
+The format is frozen (``tests/test_wire_golden.py``; the reflective
+codec this one replaced is the oracle of ``tests/test_wire_oracle.py``).
+A frame is a pure function of the message, so the live transport encodes
+a broadcast once: messages are frozen dataclasses, not mutated once sent.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 import struct
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.errors import WireFormatError, WireUnsupportedTypeError
-from repro.messages.base import MESSAGE_HEADER_SIZE
+from repro.messages.base import MESSAGE_HEADER_SIZE, ProtocolMessage
 from repro.wire.framing import (
+    FRAME_HEADER_SIZE,
     KIND_ENVELOPE,
     KIND_MESSAGE,
     Frame,
-    decode_frame,
     encode_frame,
+    open_frame,
     sender_tag,
 )
 
@@ -51,6 +58,12 @@ _T_LIST = 0x08
 _T_DICT = 0x09
 _T_FROZENSET = 0x0A
 _T_DATACLASS = 0x0B
+
+# 1 for the tags followed by a varint (a value, length, count or type id)
+_SIZED = bytes(
+    tag in (_T_INT, _T_STR, _T_BYTES, _T_TUPLE, _T_LIST, _T_DICT, _T_FROZENSET, _T_DATACLASS)
+    for tag in range(256)
+)
 
 _FLOAT = struct.Struct(">d")
 _MAX_DEPTH = 64
@@ -70,56 +83,30 @@ def _write_uvarint(out: bytearray, value: int) -> None:
             return
 
 
-def _zigzag(value: int) -> int:
-    return value * 2 if value >= 0 else -value * 2 - 1
+def _uvarint_bytes(value: int) -> bytes:
+    out = bytearray()
+    _write_uvarint(out, value)
+    return bytes(out)
 
 
-def _unzigzag(value: int) -> int:
-    return value // 2 if value % 2 == 0 else -(value + 1) // 2
+def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
+    """The varint at ``data[pos]`` and the offset after it."""
+    result = 0
+    for shift in range(0, 77, 7):  # at most 11 bytes, as the codec has always accepted
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return result, pos
+    raise WireFormatError("varint too long")
 
 
-class _Cursor:
-    """Bounds-checked reader over an immutable byte buffer."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if count < 0 or self.pos + count > len(self.data):
-            raise WireFormatError(
-                f"truncated value: need {count} bytes at offset {self.pos}, "
-                f"buffer holds {len(self.data)}"
-            )
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
-
-    def skip(self, count: int) -> None:
-        if count < 0 or self.pos + count > len(self.data):
-            raise WireFormatError(f"truncated padding: need {count} bytes at offset {self.pos}")
-        self.pos += count
-
-    def read_uvarint(self) -> int:
-        shift = 0
-        result = 0
-        while True:
-            if self.pos >= len(self.data):
-                raise WireFormatError("truncated varint")
-            if shift > 70:  # > 10 bytes: not produced by this codec
-                raise WireFormatError("varint too long")
-            byte = self.data[self.pos]
-            self.pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.data)
+# ints 0..63 zigzag to a single varint byte: their whole encoding is constant
+_SMALL_INTS = tuple(bytes((_T_INT, value * 2)) for value in range(64))
+# Encoded short strings (node, stage, client and key names) are cached per
+# codec; the cache is cleared whenever it fills, so it stays bounded.
+_CACHED_STR_LEN = 64
+_STRING_CACHE_SIZE = 4096
 
 
 # ----------------------------------------------------------------------
@@ -152,32 +139,44 @@ def _module_dataclasses(module_name: str) -> Iterable[type]:
 
 
 class WireCodec:
-    """A codec instance: type table plus encode/decode entry points."""
+    """A codec instance: type table plus encode/decode entry points.
+
+    Construction compiles one encode plan per registered type; see the
+    "Framing" part of DESIGN.md §8 for the exact-type / ladder split.
+    """
 
     def __init__(self, types: Iterable[type] | None = None):
         if types is None:
             types = [cls for mod in _DEFAULT_MODULES for cls in _module_dataclasses(mod)]
         ordered = sorted(set(types), key=lambda cls: (cls.__module__, cls.__qualname__))
-        self._type_by_id: dict[int, type] = {}
         self._id_by_type: dict[type, int] = {}
-        self._fields_by_type: dict[type, tuple] = {}
+        # encode plan per type: (header bytes, field getter, padding hook or None)
+        self._plans: dict[type, tuple[bytes, Callable[[Any], tuple], Callable | None]] = {}
+        # decode entry per type id: (class, field count)
+        self._classes: dict[int, tuple[type, int]] = {}
         for type_id, cls in enumerate(ordered, start=1):
             if not dataclasses.is_dataclass(cls):
                 raise WireUnsupportedTypeError(f"{cls!r} is not a dataclass")
-            self._type_by_id[type_id] = cls
+            names = [field.name for field in dataclasses.fields(cls)]
+            getter = operator.attrgetter(*names) if len(names) > 1 else (  # else a bare value
+                lambda value, names=names: tuple(getattr(value, name) for name in names)
+            )
+            padding = getattr(cls, "wire_padding", None)
+            if not callable(padding) or padding is ProtocolMessage.wire_padding:
+                padding = None
+            header = bytes((_T_DATACLASS,)) + _uvarint_bytes(type_id) + _uvarint_bytes(len(names))
             self._id_by_type[cls] = type_id
-            self._fields_by_type[cls] = dataclasses.fields(cls)
-        # Reusable body scratch buffer: encode()/encode_envelope() clear it
-        # instead of allocating a fresh bytearray per message, so the
-        # buffer's grown capacity is retained across hot-path calls.
-        self._scratch = bytearray()
+            self._plans[cls] = (header, getter, padding)
+            self._classes[type_id] = (cls, len(names))
+        self._strings: dict[str, bytes] = {}
+        self._scratch = bytearray()  # body buffer, cleared and reused per frame
 
     # ------------------------------------------------------------------
     # Registry introspection
     # ------------------------------------------------------------------
     @property
     def registered_types(self) -> tuple[type, ...]:
-        return tuple(self._type_by_id[type_id] for type_id in sorted(self._type_by_id))
+        return tuple(self._classes[type_id][0] for type_id in sorted(self._classes))
 
     def type_id_of(self, cls: type) -> int:
         try:
@@ -190,18 +189,65 @@ class WireCodec:
     # ------------------------------------------------------------------
     # Value encoding
     # ------------------------------------------------------------------
-    def _encode_value(self, out: bytearray, value: Any, depth: int = 0) -> None:
-        if depth > _MAX_DEPTH:
+    def _write(self, out: bytearray, values: Iterable[Any], depth: int) -> None:
+        """Append the encoding of each of ``values``, all at nesting ``depth``."""
+        if depth > _MAX_DEPTH and values:
             raise WireUnsupportedTypeError(f"value nesting exceeds {_MAX_DEPTH} levels")
-        if value is None:
-            out.append(_T_NONE)
-        elif value is True:
-            out.append(_T_TRUE)
-        elif value is False:
-            out.append(_T_FALSE)
-        elif isinstance(value, int):
+        plans = self._plans
+        for value in values:
+            cls = type(value)
+            if cls is str:
+                out += self._strings.get(value) or self._string(value)
+            elif cls is int:
+                if 0 <= value < 64:
+                    out += _SMALL_INTS[value]
+                else:
+                    out.append(_T_INT)
+                    _write_uvarint(out, value * 2 if value >= 0 else -value * 2 - 1)
+            elif cls is tuple:
+                out.append(_T_TUPLE)
+                if len(value) < 0x80:
+                    out.append(len(value))
+                else:
+                    _write_uvarint(out, len(value))
+                self._write(out, value, depth + 1)
+            elif cls in plans:
+                header, getter, padding = plans[cls]
+                out += header
+                self._write(out, getter(value), depth + 1)
+                count = 0 if padding is None else max(0, int(padding(value)))
+                if count:
+                    _write_uvarint(out, count)
+                    out += bytes(count)
+                else:
+                    out.append(0)
+            elif cls is bytes:
+                out.append(_T_BYTES)
+                _write_uvarint(out, len(value))
+                out += value
+            elif value is None:
+                out.append(_T_NONE)
+            elif cls is bool:
+                out.append(_T_TRUE if value else _T_FALSE)
+            else:
+                self._write_other(out, value, depth)
+
+    def _string(self, value: str) -> bytes:
+        raw = value.encode("utf-8")
+        encoded = bytes((_T_STR,)) + _uvarint_bytes(len(raw)) + raw
+        if len(raw) <= _CACHED_STR_LEN:
+            if len(self._strings) >= _STRING_CACHE_SIZE:
+                self._strings.clear()
+            self._strings[value] = encoded
+        return encoded
+
+    def _write_other(self, out: bytearray, value: Any, depth: int) -> None:
+        """Values outside the exact-type fast path: subclasses of int and
+        str (``IntEnum``), floats, other byte buffers, tuple subclasses,
+        lists, dicts and frozensets."""
+        if isinstance(value, int):
             out.append(_T_INT)
-            _write_uvarint(out, _zigzag(value))
+            _write_uvarint(out, value * 2 if value >= 0 else -value * 2 - 1)
         elif isinstance(value, float):
             out.append(_T_FLOAT)
             out.extend(_FLOAT.pack(value))
@@ -218,147 +264,171 @@ class WireCodec:
         elif isinstance(value, tuple):
             out.append(_T_TUPLE)
             _write_uvarint(out, len(value))
-            for item in value:
-                self._encode_value(out, item, depth + 1)
+            self._write(out, value, depth + 1)
         elif isinstance(value, list):
             out.append(_T_LIST)
             _write_uvarint(out, len(value))
-            for item in value:
-                self._encode_value(out, item, depth + 1)
+            self._write(out, value, depth + 1)
         elif isinstance(value, dict):
             out.append(_T_DICT)
             _write_uvarint(out, len(value))
-            for key, item in value.items():
-                self._encode_value(out, key, depth + 1)
-                self._encode_value(out, item, depth + 1)
+            for item in value.items():
+                self._write(out, item, depth + 1)
         elif isinstance(value, frozenset):
             encoded_items = []
             for item in value:
                 item_out = bytearray()
-                self._encode_value(item_out, item, depth + 1)
+                self._write(item_out, (item,), depth + 1)
                 encoded_items.append(bytes(item_out))
             out.append(_T_FROZENSET)
             _write_uvarint(out, len(encoded_items))
             for chunk in sorted(encoded_items):
                 out.extend(chunk)
-        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-            self._encode_dataclass(out, value, depth)
-        else:
+        else:  # unregistered dataclasses too: registered ones took the fast path
             raise WireUnsupportedTypeError(
                 f"cannot encode value of type {type(value).__qualname__}"
             )
 
-    def _encode_dataclass(self, out: bytearray, value: Any, depth: int) -> None:
-        cls = type(value)
-        type_id = self.type_id_of(cls)
-        fields = self._fields_by_type[cls]
-        out.append(_T_DATACLASS)
-        _write_uvarint(out, type_id)
-        _write_uvarint(out, len(fields))
-        for field in fields:
-            self._encode_value(out, getattr(value, field.name), depth + 1)
-        padding = 0
-        wire_padding = getattr(value, "wire_padding", None)
-        if callable(wire_padding):
-            padding = max(0, int(wire_padding()))
-        _write_uvarint(out, padding)
-        out.extend(b"\x00" * padding)
-
     # ------------------------------------------------------------------
     # Value decoding
     # ------------------------------------------------------------------
-    def _decode_value(self, cursor: _Cursor, depth: int = 0) -> Any:
-        if depth > _MAX_DEPTH:
-            raise WireFormatError(f"value nesting exceeds {_MAX_DEPTH} levels")
-        tag = cursor.take(1)[0]
-        if tag == _T_NONE:
-            return None
-        if tag == _T_TRUE:
-            return True
-        if tag == _T_FALSE:
-            return False
-        if tag == _T_INT:
-            return _unzigzag(cursor.read_uvarint())
-        if tag == _T_FLOAT:
-            return _FLOAT.unpack(cursor.take(_FLOAT.size))[0]
-        if tag == _T_STR:
-            raw = cursor.take(cursor.read_uvarint())
-            try:
-                return raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise WireFormatError(f"invalid UTF-8 in string value: {exc}") from None
-        if tag == _T_BYTES:
-            return cursor.take(cursor.read_uvarint())
-        if tag == _T_TUPLE:
-            count = cursor.read_uvarint()
-            return tuple(self._decode_value(cursor, depth + 1) for _ in range(count))
-        if tag == _T_LIST:
-            count = cursor.read_uvarint()
-            return [self._decode_value(cursor, depth + 1) for _ in range(count)]
-        if tag == _T_DICT:
-            count = cursor.read_uvarint()
-            result = {}
-            for _ in range(count):
-                key = self._decode_value(cursor, depth + 1)
-                result[key] = self._decode_value(cursor, depth + 1)
-            return result
-        if tag == _T_FROZENSET:
-            count = cursor.read_uvarint()
-            return frozenset(self._decode_value(cursor, depth + 1) for _ in range(count))
-        if tag == _T_DATACLASS:
-            return self._decode_dataclass(cursor, depth)
-        raise WireFormatError(f"unknown value tag 0x{tag:02x}")
+    def _read(self, data: bytes, pos: int, count: int, depth: int) -> tuple[list, int]:
+        """Decode ``count`` consecutive values at nesting ``depth`` from
+        ``data[pos:]``; returns them and the offset after them.
 
-    def _decode_dataclass(self, cursor: _Cursor, depth: int) -> Any:
-        type_id = cursor.read_uvarint()
-        cls = self._type_by_id.get(type_id)
-        if cls is None:
-            raise WireFormatError(f"unknown wire type id {type_id}")
-        fields = self._fields_by_type[cls]
-        field_count = cursor.read_uvarint()
-        if field_count != len(fields):
+        Running off the end of ``data`` raises ``IndexError``; the entry
+        points turn it into :class:`WireFormatError`.
+        """
+        if count > len(data) - pos:  # every value takes at least its tag byte
             raise WireFormatError(
-                f"{cls.__qualname__}: field count mismatch "
-                f"(wire has {field_count}, code expects {len(fields)})"
+                f"truncated value: {count} values announced, {len(data) - pos} bytes left"
             )
-        values = [self._decode_value(cursor, depth + 1) for _ in fields]
-        cursor.skip(cursor.read_uvarint())  # modelled payload padding
+        if depth > _MAX_DEPTH and count:
+            raise WireFormatError(f"value nesting exceeds {_MAX_DEPTH} levels")
+        values: list = []
+        append = values.append
+        for _ in range(count):
+            tag = data[pos]
+            if _SIZED[tag]:
+                size = data[pos + 1]
+                if size < 0x80:
+                    pos += 2
+                else:
+                    size, pos = _read_uvarint(data, pos + 1)
+            else:
+                pos += 1
+            if tag == _T_INT:
+                append((size >> 1) ^ -(size & 1))  # un-zigzag
+            elif tag == _T_STR or tag == _T_BYTES:
+                end = pos + size
+                if end > len(data):
+                    raise WireFormatError(f"truncated value: need {size} bytes at offset {pos}")
+                if tag == _T_BYTES:
+                    append(data[pos:end])
+                else:
+                    try:
+                        append(data[pos:end].decode("utf-8"))
+                    except UnicodeDecodeError as exc:
+                        raise WireFormatError(f"invalid UTF-8 in string value: {exc}") from None
+                pos = end
+            elif tag == _T_DATACLASS:
+                cls, field_count = self._classes.get(size) or (None, 0)
+                if cls is None:
+                    raise WireFormatError(f"unknown wire type id {size}")
+                wire_count = data[pos]
+                if wire_count < 0x80:
+                    pos += 1
+                else:
+                    wire_count, pos = _read_uvarint(data, pos)
+                if wire_count != field_count:
+                    raise WireFormatError(
+                        f"{cls.__qualname__}: field count mismatch "
+                        f"(wire has {wire_count}, code expects {field_count})"
+                    )
+                fields, pos = self._read(data, pos, field_count, depth + 1)
+                padding = data[pos]  # modelled payload padding
+                if padding < 0x80:
+                    pos += 1 + padding
+                else:
+                    padding, pos = _read_uvarint(data, pos)
+                    pos += padding
+                if pos > len(data):
+                    raise WireFormatError(f"truncated padding: need {padding} bytes")
+                try:
+                    append(cls(*fields))
+                except (TypeError, ValueError) as exc:
+                    raise WireFormatError(f"cannot construct {cls.__qualname__}: {exc}") from None
+            elif tag == _T_TUPLE:
+                items, pos = self._read(data, pos, size, depth + 1)
+                append(tuple(items))
+            elif tag == _T_NONE:
+                append(None)
+            elif tag == _T_TRUE:
+                append(True)
+            elif tag == _T_FALSE:
+                append(False)
+            elif tag == _T_FLOAT:
+                if pos + _FLOAT.size > len(data):
+                    raise WireFormatError(f"truncated float at offset {pos}")
+                append(_FLOAT.unpack_from(data, pos)[0])
+                pos += _FLOAT.size
+            elif tag == _T_LIST:
+                items, pos = self._read(data, pos, size, depth + 1)
+                append(items)
+            elif tag == _T_DICT or tag == _T_FROZENSET:
+                pairs = 2 if tag == _T_DICT else 1
+                items, pos = self._read(data, pos, size * pairs, depth + 1)
+                try:
+                    append(dict(zip(items[::2], items[1::2])) if pairs == 2 else frozenset(items))
+                except TypeError as exc:  # an unhashable key or member
+                    raise WireFormatError(f"invalid {'dict key' if pairs == 2 else 'set member'}: {exc}") from None
+            else:
+                raise WireFormatError(f"unknown value tag 0x{tag:02x}")
+        return values, pos
+
+    def _open(self, frame_or_bytes: Frame | bytes, kind: int, count: int) -> list:
+        """Decode the ``count`` values of a frame's body; the last is the
+        message, whose type must match the header's type id."""
+        if isinstance(frame_or_bytes, Frame):
+            frame_kind, type_id, _sender, data = frame_or_bytes
+            pos = 0
+        else:
+            data = bytes(frame_or_bytes)
+            frame_kind, type_id, _sender = open_frame(data)
+            pos = FRAME_HEADER_SIZE
+        if frame_kind != kind:
+            raise WireFormatError(f"expected frame kind {kind}, got kind {frame_kind}")
         try:
-            return cls(*values)
-        except (TypeError, ValueError) as exc:
-            raise WireFormatError(f"cannot construct {cls.__qualname__}: {exc}") from None
+            values, pos = self._read(data, pos, count, 0)
+        except IndexError:
+            raise WireFormatError("truncated value: frame body ends inside a value") from None
+        if pos != len(data):
+            raise WireFormatError(f"{len(data) - pos} trailing bytes after frame body")
+        message = values[-1]
+        if self._id_by_type.get(type(message)) != type_id:
+            raise WireFormatError(
+                f"frame header type id {type_id} does not match body type "
+                f"{type(message).__qualname__}"
+            )
+        return values
 
     # ------------------------------------------------------------------
     # Message framing
     # ------------------------------------------------------------------
-    def encode(self, message: Any) -> bytes:
-        """Encode one registered message as a complete frame."""
+    def _frame(self, kind: int, message: Any, values: tuple, sender: int = 0) -> bytes:
         type_id = self.type_id_of(type(message))
         body = self._scratch
         del body[:]
-        self._encode_value(body, message)
-        return encode_frame(KIND_MESSAGE, type_id, bytes(body))
+        self._write(body, values, 0)
+        return encode_frame(kind, type_id, body, sender)
+
+    def encode(self, message: Any) -> bytes:
+        """Encode one registered message as a complete frame."""
+        return self._frame(KIND_MESSAGE, message, (message,))
 
     def decode(self, data: bytes) -> Any:
         """Decode one complete message frame back into its dataclass."""
-        frame = decode_frame(data)
-        if frame.kind != KIND_MESSAGE:
-            raise WireFormatError(f"expected a message frame, got kind {frame.kind}")
-        return self.decode_body(frame)
-
-    def decode_body(self, frame: Frame) -> Any:
-        cursor = _Cursor(frame.body)
-        message = self._decode_value(cursor)
-        if not cursor.exhausted:
-            raise WireFormatError(
-                f"{len(frame.body) - cursor.pos} trailing bytes after message body"
-            )
-        if frame.kind == KIND_MESSAGE and self._id_by_type.get(type(message)) != frame.type_id:
-            raise WireFormatError(
-                f"frame header type id {frame.type_id} does not match body type "
-                f"{type(message).__qualname__}"
-            )
-        return message
+        return self._open(data, KIND_MESSAGE, 1)[0]
 
     def encoded_size(self, message: Any) -> int:
         """Actual on-the-wire size of ``message`` (header + body)."""
@@ -369,29 +439,13 @@ class WireCodec:
     # ------------------------------------------------------------------
     def encode_envelope(self, src_node: str, src_stage: str, dst_stage: str, message: Any) -> bytes:
         """Encode a stage-addressed message for the asyncio transport."""
-        type_id = self.type_id_of(type(message))
-        body = self._scratch
-        del body[:]
-        self._encode_value(body, src_node)
-        self._encode_value(body, src_stage)
-        self._encode_value(body, dst_stage)
-        self._encode_value(body, message)
-        return encode_frame(KIND_ENVELOPE, type_id, bytes(body), sender=sender_tag(src_node))
+        return self._frame(
+            KIND_ENVELOPE, message, (src_node, src_stage, dst_stage, message), sender_tag(src_node)
+        )
 
     def decode_envelope(self, frame_or_bytes: Frame | bytes) -> tuple[str, str, str, Any]:
         """Decode an envelope frame into (src_node, src_stage, dst_stage, message)."""
-        frame = frame_or_bytes if isinstance(frame_or_bytes, Frame) else decode_frame(frame_or_bytes)
-        if frame.kind != KIND_ENVELOPE:
-            raise WireFormatError(f"expected an envelope frame, got kind {frame.kind}")
-        cursor = _Cursor(frame.body)
-        src_node = self._decode_value(cursor)
-        src_stage = self._decode_value(cursor)
-        dst_stage = self._decode_value(cursor)
-        message = self._decode_value(cursor)
-        if not cursor.exhausted:
-            raise WireFormatError(
-                f"{len(frame.body) - cursor.pos} trailing bytes after envelope body"
-            )
+        src_node, src_stage, dst_stage, message = self._open(frame_or_bytes, KIND_ENVELOPE, 4)
         for part in (src_node, src_stage, dst_stage):
             if not isinstance(part, str):
                 raise WireFormatError(f"envelope address parts must be strings, got {type(part)}")

@@ -31,9 +31,10 @@ of the sending node's name — a routing diagnostic, not an authenticator
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import WireFormatError, WireIntegrityError
 from repro.messages.base import MESSAGE_HEADER_SIZE
@@ -57,13 +58,13 @@ assert FRAME_HEADER_SIZE == MESSAGE_HEADER_SIZE, "frame header must match the ac
 MAX_BODY_SIZE = 64 * 1024 * 1024
 
 
+@functools.lru_cache(maxsize=1024)
 def sender_tag(node: str) -> int:
     """The 32-bit sender diagnostic carried in the frame header."""
-    return zlib.crc32(node.encode("utf-8")) & 0xFFFFFFFF
+    return zlib.crc32(node.encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """A parsed, integrity-checked frame."""
 
     kind: int
@@ -76,23 +77,24 @@ class Frame:
         return FRAME_HEADER_SIZE + len(self.body)
 
 
-def encode_frame(kind: int, type_id: int, body: bytes, sender: int = 0) -> bytes:
-    """Serialize one frame (header + body)."""
+def encode_frame(kind: int, type_id: int, body: bytes | bytearray, sender: int = 0) -> bytes:
+    """Serialize one frame (header + body) into one new ``bytes``."""
     if kind not in _KINDS:
         raise WireFormatError(f"unknown frame kind {kind}")
     if len(body) > MAX_BODY_SIZE:
         raise WireFormatError(f"frame body of {len(body)} bytes exceeds {MAX_BODY_SIZE}")
-    header = _HEADER.pack(
-        MAGIC, WIRE_VERSION, kind, type_id, len(body), zlib.crc32(body) & 0xFFFFFFFF, sender, b"\x00\x00"
-    )
-    return header + body
+    return _HEADER.pack(
+        MAGIC, WIRE_VERSION, kind, type_id, len(body), zlib.crc32(body), sender, b"\x00\x00"
+    ) + body
 
 
-def _parse_header(data: bytes | memoryview) -> tuple[int, int, int, int, int]:
-    """Validate a header; returns (kind, type_id, body_len, crc, sender)."""
-    if len(data) < FRAME_HEADER_SIZE:
-        raise WireFormatError(f"truncated frame header ({len(data)} < {FRAME_HEADER_SIZE} bytes)")
-    magic, version, kind, type_id, body_len, crc, sender, _reserved = _HEADER.unpack_from(data)
+def _parse_header(data: bytes | memoryview, offset: int = 0) -> tuple[int, int, int, int, int]:
+    """Validate the header at ``offset``; returns (kind, type_id, body_len, crc, sender)."""
+    if len(data) - offset < FRAME_HEADER_SIZE:
+        raise WireFormatError(
+            f"truncated frame header ({len(data) - offset} < {FRAME_HEADER_SIZE} bytes)"
+        )
+    magic, version, kind, type_id, body_len, crc, sender, _reserved = _HEADER.unpack_from(data, offset)
     if magic != MAGIC:
         raise WireFormatError(f"bad magic {bytes(magic)!r}")
     if version != WIRE_VERSION:
@@ -104,8 +106,8 @@ def _parse_header(data: bytes | memoryview) -> tuple[int, int, int, int, int]:
     return kind, type_id, body_len, crc, sender
 
 
-def decode_frame(data: bytes) -> Frame:
-    """Parse exactly one complete frame from ``data``.
+def open_frame(data: bytes) -> tuple[int, int, int]:
+    """Check one complete frame, body left in place; returns (kind, type_id, sender).
 
     Raises :class:`WireFormatError` for truncated or malformed frames and
     :class:`WireIntegrityError` when the body fails its checksum.
@@ -116,10 +118,15 @@ def decode_frame(data: bytes) -> Frame:
             f"frame length mismatch: header announces {body_len} body bytes, "
             f"buffer holds {len(data) - FRAME_HEADER_SIZE}"
         )
-    body = bytes(data[FRAME_HEADER_SIZE:])
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
+    if zlib.crc32(memoryview(data)[FRAME_HEADER_SIZE:]) != crc:
         raise WireIntegrityError("frame body checksum mismatch (corrupted or tampered bytes)")
-    return Frame(kind, type_id, sender, body)
+    return kind, type_id, sender
+
+
+def decode_frame(data: bytes) -> Frame:
+    """Parse exactly one complete frame from ``data`` (see :func:`open_frame`)."""
+    kind, type_id, sender = open_frame(data)
+    return Frame(kind, type_id, sender, bytes(data[FRAME_HEADER_SIZE:]))
 
 
 class FrameReader:
@@ -137,21 +144,37 @@ class FrameReader:
         self.bytes_consumed = 0
 
     def feed(self, data: bytes) -> list[Frame]:
-        """Append ``data``; return every frame completed by it."""
-        self._buffer.extend(data)
+        """Append ``data``; return every frame completed by it.
+
+        One pass: headers are parsed in place, each body is copied once,
+        and what is left of the read is kept for the next call.
+        """
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            if len(buffer) < FRAME_HEADER_SIZE or (
+                len(buffer) < FRAME_HEADER_SIZE + _parse_header(buffer)[2]
+            ):
+                return []  # still inside the first frame: no copy
+            data = bytes(buffer)
+            buffer.clear()
         frames: list[Frame] = []
-        while True:
-            if len(self._buffer) < FRAME_HEADER_SIZE:
+        offset = 0
+        size = len(data)
+        while size - offset >= FRAME_HEADER_SIZE:
+            kind, type_id, body_len, crc, sender = _parse_header(data, offset)
+            end = offset + FRAME_HEADER_SIZE + body_len
+            if end > size:
                 break
-            _kind, _type_id, body_len, _crc, _sender = _parse_header(self._buffer)
-            total = FRAME_HEADER_SIZE + body_len
-            if len(self._buffer) < total:
-                break
-            chunk = bytes(self._buffer[:total])
-            del self._buffer[:total]
-            frames.append(decode_frame(chunk))
-            self.frames_parsed += 1
-            self.bytes_consumed += total
+            body = data[offset + FRAME_HEADER_SIZE : end]
+            if zlib.crc32(body) != crc:
+                raise WireIntegrityError("frame body checksum mismatch (corrupted or tampered bytes)")
+            frames.append(Frame(kind, type_id, sender, body))
+            offset = end
+        if offset < size:
+            buffer += data[offset:]
+        self.frames_parsed += len(frames)
+        self.bytes_consumed += offset
         return frames
 
     @property

@@ -12,11 +12,15 @@ import pytest
 
 from repro.errors import TransportError, WireFormatError, WireIntegrityError
 from repro.messages.client import Request
+from repro.messages.ordering import Prepare
 from repro.net.peer import PeerConfig, PeerConnection
 from repro.net.transport import TcpTransport
 from repro.sim.process import Envelope
+from repro.wire.codec import WireCodec
 from repro.wire.framing import (
     FRAME_HEADER_SIZE,
+    KIND_ENVELOPE,
+    KIND_HELLO,
     KIND_MESSAGE,
     KIND_PING,
     FrameReader,
@@ -415,5 +419,127 @@ def test_drop_connections_on_unknown_node_is_a_noop():
         transport.register("a", lambda src, env: None)
         async with transport:
             assert transport.drop_connections("ghost") == 0
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Broadcast memo and envelope header checks
+# ----------------------------------------------------------------------
+class CountingCodec(WireCodec):
+    def __init__(self):
+        super().__init__()
+        self.encodes = 0
+
+    def encode_envelope(self, src_node, src_stage, dst_stage, message):
+        self.encodes += 1
+        return super().encode_envelope(src_node, src_stage, dst_stage, message)
+
+
+def test_a_broadcast_is_encoded_once():
+    async def scenario():
+        inbox = {"b": [], "c": [], "d": []}
+        done = asyncio.Event()
+        codec = CountingCodec()
+        transport = _transport(["a", "b", "c", "d"], codec=codec)
+        transport.register("a", lambda src, env: None)
+        for node in inbox:
+
+            def receive(src, env, node=node):
+                inbox[node].append(env)
+                if sum(map(len, inbox.values())) == 5:
+                    done.set()
+
+            transport.register(node, receive)
+        async with transport:
+            # Stage.broadcast: a fresh Envelope per peer around one payload
+            for node in ("b", "c", "d"):
+                transport.send("a", node, Envelope(("a", "pillar0"), "pillar0", REQUEST), 0)
+            assert codec.encodes == 1
+            # another destination stage or another payload is another frame
+            transport.send("a", "b", Envelope(("a", "pillar0"), "handler", REQUEST), 0)
+            other = Request("clients0:c0", 8, ("add", 1), 0, b"\x11" * 32)
+            transport.multicast("a", ["c"], Envelope(("a", "pillar0"), "pillar0", other), 0)
+            assert codec.encodes == 3
+            await asyncio.wait_for(done.wait(), timeout=5)
+        assert [env.message for env in inbox["d"]] == [REQUEST]
+        assert [(env.dst_stage, env.message) for env in inbox["b"]] == [
+            ("pillar0", REQUEST), ("handler", REQUEST)
+        ]
+        assert [env.message for env in inbox["c"]] == [REQUEST, other]
+
+    asyncio.run(scenario())
+
+
+def test_a_chaos_replacement_is_encoded_fresh():
+    from repro.chaos import FilterDecision
+
+    forged = Request("clients0:c0", 7, ("add", 666), 0, b"\x11" * 32)
+
+    class ForgeForC:
+        def decide(self, src, dst, message, size, now):
+            if dst == "c":
+                return FilterDecision(replace=Envelope(message.src, message.dst_stage, forged))
+            return FilterDecision()
+
+    async def scenario():
+        inbox = {"b": [], "c": []}
+        done = asyncio.Event()
+        transport = _transport(["a", "b", "c"], codec=CountingCodec())
+        transport.register("a", lambda src, env: None)
+        for node in inbox:
+
+            def receive(src, env, node=node):
+                inbox[node].append(env.message)
+                if all(inbox.values()):
+                    done.set()
+
+            transport.register(node, receive)
+        transport.add_filter(ForgeForC())
+        async with transport:
+            transport.multicast("a", ["b", "c"], Envelope(("a", "p"), "p", REQUEST), 0)
+            await asyncio.wait_for(done.wait(), timeout=5)
+        assert inbox == {"b": [REQUEST], "c": [forged]}
+        assert transport.codec.encodes == 2
+
+    asyncio.run(scenario())
+
+
+def test_forged_envelope_header_type_id_is_rejected():
+    codec = WireCodec()
+    frame = decode_frame(codec.encode_envelope("a", "c0", "handler", REQUEST))
+    forged = encode_frame(KIND_ENVELOPE, codec.type_id_of(Prepare), frame.body, frame.sender)
+    with pytest.raises(WireFormatError):
+        codec.decode_envelope(forged)
+    with pytest.raises(WireFormatError):
+        codec.decode_envelope(decode_frame(forged))
+
+
+def test_transport_counts_and_drops_a_forged_envelope():
+    async def scenario():
+        codec = WireCodec()
+        inbox = []
+        got = asyncio.Event()
+        transport = _transport(["b"])
+
+        def receive(src, env):
+            inbox.append(env.message)
+            got.set()
+
+        transport.register("b", receive)
+        async with transport:
+            host, port = transport.directory["b"]
+            reader, writer = await asyncio.open_connection(host, port)
+            good = codec.encode_envelope("a", "c0", "handler", REQUEST)
+            body = decode_frame(good).body
+            forged = encode_frame(KIND_ENVELOPE, codec.type_id_of(Prepare), body)
+            writer.write(encode_frame(KIND_HELLO, 0, b"a") + forged + good)
+            await writer.drain()
+            await asyncio.wait_for(got.wait(), timeout=5)
+            writer.close()
+        # the forged frame is counted and skipped; the stream stays usable
+        assert inbox == [REQUEST]
+        assert transport.interface("b").decode_errors == 1
+        assert transport.interface("b").messages_received == 1
 
     asyncio.run(scenario())

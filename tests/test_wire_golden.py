@@ -142,3 +142,29 @@ class TestGoldenFrames:
         # and the None case (pre-batching senders) still round-trips
         legacy = replace(prepare, batch_digest=None)
         assert codec.decode(bytes(codec.encode(legacy))).batch_digest is None
+
+
+# (frame length, sha256 of frame) of the envelope frames live mode sends,
+# for the five message shapes of the benchmark's corpus, addressed
+# r0/pillar0 -> pillar0.  Pinned from the reflective codec the compiled
+# plans replaced: the envelope path is the one every live frame takes.
+GOLDEN_ENVELOPES = {
+    "request": (123, "9b59ee66f1c5dd091920291e68b4212a399f621ceed74edf0269ec2690e32244"),
+    "prepare_b1": (227, "6fd45a824b081d934185062b1c0bf3506f6a7870e965e3bc870765068fa76276"),
+    "prepare_b16_1k": (17864, "d70a3344ee19851eeff17c7e974af4e499c7cdb31e757adc322d1996d1e7e90a"),
+    "commit": (143, "b78fae0f5ca42482f768f9db8ac871cb4682a0cda75f7f9e09dfabc8b9a6aed4"),
+    "reply": (78, "ed9294d2ac1c54adaa416f6eb4d5dbfef8cb79a52b7f4e62386e140cfd45742d"),
+}
+
+
+class TestGoldenEnvelopes:
+    def test_envelope_hashes_are_stable(self):
+        from bench.layers import corpus
+
+        codec = default_codec()
+        actual = {}
+        for name, message in corpus().items():
+            frame = codec.encode_envelope("r0", "pillar0", "pillar0", message)
+            actual[name] = (len(frame), hashlib.sha256(frame).hexdigest())
+            assert codec.decode_envelope(frame) == ("r0", "pillar0", "pillar0", message)
+        assert actual == GOLDEN_ENVELOPES
