@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.baselines.usig import UI, Usig
+from repro.core.checkpoint import Checkpoints, forget_through
 from repro.core.config import ReplicaGroupConfig
-from repro.core.quorum import MatchingQuorum
 from repro.crypto.costs import JAVA
 from repro.crypto.digests import digest as free_digest
 from repro.crypto.provider import CryptoProvider
@@ -141,20 +141,24 @@ class MinBftReplica(Stage):
         self.next_order = 1  # leader: next to assign; follower: next to ack
         self.pending: deque[Request] = deque()
         self._own_inflight = 0
-        self._proposed_keys: set[tuple[str, int]] = set()
+        self._proposed_keys: dict[tuple[str, int], int] = {}  # request key -> order
         self._instances: dict[int, _MinInstance] = {}
         self._buffered: dict[int, MinPrepare] = {}
         self._last_leader_ui = 0
-        self.low_mark = 0
 
         self.next_exec = 1
         self._reply_cache: dict[str, tuple[int, Any]] = {}
-        self._ck_quorum = MatchingQuorum(config.quorum_size)
-        self._own_ck_digests: dict[int, bytes] = {}
+        # no state transfer: a replica that falls behind stays behind
+        self.checkpoints = Checkpoints(
+            self,
+            config.quorum_size,
+            MinCheckpoint,
+            certify=self._certify_checkpoint,
+            verify=self._verify_checkpoint,
+            advance=self._on_checkpoint_stable,
+        )
 
-        self.peer_addresses: dict[str, Address] = {
-            rid: (rid, "handler") for rid in config.replica_ids if rid != replica_id
-        }
+        self.peers = [(rid, "handler") for rid in config.replica_ids if rid != replica_id]
         self.executed_requests = 0
         self.proposals = 0
 
@@ -166,6 +170,10 @@ class MinBftReplica(Stage):
     @property
     def is_leader(self) -> bool:
         return self.config.primary_of_view(self.view) == self.me
+
+    @property
+    def low_mark(self) -> int:
+        return self.checkpoints.stable_order
 
     @property
     def high_mark(self) -> int:
@@ -194,7 +202,7 @@ class MinBftReplica(Stage):
         elif isinstance(message, MinCommit):
             self._on_commit(message)
         elif isinstance(message, MinCheckpoint):
-            self._on_checkpoint(message)
+            self.checkpoints.receive(message)
 
     # ------------------------------------------------------------------
     def _on_request(self, request: Request) -> None:
@@ -219,7 +227,7 @@ class MinBftReplica(Stage):
                 if request.key in self._proposed_keys:
                     continue
                 batch.append(request)
-                self._proposed_keys.add(request.key)
+                self._proposed_keys[request.key] = self.next_order
             if not batch:
                 return
             order = self.next_order
@@ -233,7 +241,7 @@ class MinBftReplica(Stage):
             instance.acknowledgments = {self.me}
             self.proposals += 1
             self._own_inflight += 1
-            self.broadcast(list(self.peer_addresses.values()), prepare)
+            self.broadcast(self.peers, prepare)
 
     def _on_prepare(self, prepare: MinPrepare) -> None:
         if prepare.view != self.view or prepare.leader != self.config.primary_of_view(self.view):
@@ -270,7 +278,7 @@ class MinBftReplica(Stage):
             if digest == instance.proposal_digest:
                 instance.acknowledgments.add(sender)
         instance.early_commits.clear()
-        self.broadcast(list(self.peer_addresses.values()), commit)
+        self.broadcast(self.peers, commit)
         self._check_committed(instance)
 
     def _on_commit(self, commit: MinCommit) -> None:
@@ -342,38 +350,22 @@ class MinBftReplica(Stage):
             ("min-checkpoint-state", order, self.service.state_digestible()),
             size_hint=max(64, self.service.snapshot_size()),
         )
-        self._own_ck_digests[order] = digest
+        self.checkpoints.reached(order, digest)
+
+    def _certify_checkpoint(self, order: int, digest: bytes) -> MinCheckpoint:
         bare = MinCheckpoint(order, self.me, digest)
         ui = self.usig.create_ui(bare.digestible(), size_hint=bare.wire_size())
-        checkpoint = MinCheckpoint(order, self.me, digest, ui)
-        self.broadcast(list(self.peer_addresses.values()), checkpoint)
-        if self._ck_quorum.add((order, digest), self.me, None) or self._ck_quorum.reached(
-            (order, digest)
-        ):
-            self._stabilize(order)
+        return MinCheckpoint(order, self.me, digest, ui)
 
-    def _on_checkpoint(self, checkpoint: MinCheckpoint) -> None:
-        if checkpoint.order <= self.low_mark:
-            return
-        if checkpoint.ui is None or not self.usig.verify_ui(
+    def _verify_checkpoint(self, checkpoint: MinCheckpoint) -> bool:
+        return checkpoint.ui is not None and self.usig.verify_ui(
             checkpoint.ui, checkpoint.digestible(), size_hint=checkpoint.wire_size()
-        ):
-            return
-        if self._ck_quorum.add(checkpoint.agreement_key(), checkpoint.replica, None):
-            if self._own_ck_digests.get(checkpoint.order) == checkpoint.state_digest:
-                self._stabilize(checkpoint.order)
+        )
 
-    def _stabilize(self, order: int) -> None:
-        if order <= self.low_mark:
-            return
-        self.low_mark = order
-        for stale in [o for o in self._instances if o <= order]:
-            del self._instances[stale]
-        for stale in [o for o in self._buffered if o <= order]:
-            del self._buffered[stale]
-        for stale in [o for o in self._own_ck_digests if o <= order]:
-            del self._own_ck_digests[stale]
-        self._ck_quorum.discard_below((order + 1, b""))
+    def _on_checkpoint_stable(self, order: int) -> None:
+        forget_through(self._instances, order)
+        forget_through(self._buffered, order)
+        self._proposed_keys = {key: o for key, o in self._proposed_keys.items() if o > order}
         if self.is_leader:
             self._propose_pending()
 

@@ -30,17 +30,17 @@ from typing import Any
 
 from repro.baselines.pbft_messages import PbftCheckpoint, PbftCommit, PbftPrepare, PrePrepare
 from repro.messages.ordering import InstanceFetch
+from repro.core.checkpoint import Checkpoints, forget_through, replica_stages
 from repro.core.config import COUNTER_M, ReplicaGroupConfig
 from repro.core.execution import ExecutionStage, ReplierStage
 from repro.core.handler import ClientHandler
-from repro.core.quorum import MatchingQuorum
 from repro.crypto.authenticators import AuthenticatorFactory
 from repro.crypto.costs import JAVA
 from repro.crypto.digests import digest as free_digest
 from repro.crypto.provider import CryptoProvider
 from repro.errors import ConfigurationError
 from repro.messages.client import Request
-from repro.messages.internal import CkReached, CkStable, ExecRequest, FillGap, OrderRequest, StateInstall
+from repro.messages.internal import CkReached, CkStable, ExecRequest, FillGap, OrderRequest
 from repro.messages.statetransfer import StateRequest, StateResponse
 from repro.services.base import Service
 from repro.sim.kernel import Simulator
@@ -139,23 +139,26 @@ class PbftPillar(Stage):
         # next order number this replica proposes (its own slots ascending);
         # PBFT has no trusted counters, so *acceptance* is out-of-order
         self.next_own = self._first_own_slot_after(0)
-        self.low_mark = 0
         self.pending: deque[Request] = deque()
         self._own_inflight = 0  # own proposals not yet committed (batch pacing)
-        self._proposed_keys: set[tuple[str, int]] = set()
+        self._proposed_keys: dict[tuple[str, int], int] = {}  # request key -> order
         self._instances: dict[int, _PbftInstance] = {}
         # proposals that arrived ahead of our (lagging) window position
         self._lookahead: dict[int, PrePrepare] = {}
 
-        self.stable_ck_order = 0
-        self._ck_quorum = MatchingQuorum(2 * f_pbft + 1)
-        self._own_ck_digests: dict[int, bytes] = {}
-        self._remote_stable: dict[int, tuple[str, tuple[PbftCheckpoint, ...]]] = {}
+        self.checkpoints = Checkpoints(
+            self,
+            2 * f_pbft + 1,
+            PbftCheckpoint,
+            certify=lambda order, digest: self._certified(PbftCheckpoint(order, self.me, digest)),
+            verify=certifier.verify,
+            advance=self._on_checkpoint_stable,
+            announce_to=lambda: replica_stages(self),
+            fetch=self._fetch_state,
+        )
         self._transfer_in_flight: int | None = None
 
-        self.peer_addresses: dict[str, Address] = {
-            rid: (rid, self.name) for rid in config.replica_ids if rid != replica_id
-        }
+        self.peers = [(rid, self.name) for rid in config.replica_ids if rid != replica_id]
         self.exec_address: Address | None = None
         self._noop_timer = None
 
@@ -168,8 +171,12 @@ class PbftPillar(Stage):
         return self.replica_id
 
     @property
+    def stable_ck_order(self) -> int:
+        return self.checkpoints.stable_order
+
+    @property
     def high_mark(self) -> int:
-        return self.low_mark + self.config.window_size
+        return self.stable_ck_order + self.config.window_size
 
     def _class_order_at_or_after(self, candidate: int) -> int:
         return candidate + (self.index - candidate) % self.config.num_pillars
@@ -192,7 +199,7 @@ class PbftPillar(Stage):
         return instance
 
     def _in_window(self, order: int) -> bool:
-        return self.low_mark < order <= self.high_mark
+        return self.stable_ck_order < order <= self.high_mark
 
     # ------------------------------------------------------------------
     def on_message(self, src: Address, message: Any) -> None:
@@ -205,11 +212,11 @@ class PbftPillar(Stage):
         elif isinstance(message, PbftCommit):
             self._on_commit(message)
         elif isinstance(message, PbftCheckpoint):
-            self._on_checkpoint(message)
+            self.checkpoints.receive(message)
         elif isinstance(message, CkReached):
-            self._on_ck_reached(message)
+            self.checkpoints.reached(message.order, message.state_digest)
         elif isinstance(message, CkStable):
-            self._apply_stable_checkpoint(message.order)
+            self.checkpoints.apply(message.order, message.certificate)
         elif isinstance(message, FillGap):
             self._on_fill_gap(message)
         elif isinstance(message, InstanceFetch):
@@ -244,29 +251,34 @@ class PbftPillar(Stage):
 
     def _noop_tick(self, order: int) -> None:
         self._noop_timer = None
-        if order != self.next_own or not self._in_window(order):
-            return
-        self._propose(order, allow_empty=True)
-        self._advance()
+        self._fill_own_slot(order)
 
-    def _take_batch(self) -> tuple[Request, ...]:
+    def _fill_own_slot(self, order: int) -> None:
+        """Propose at ``order``, empty if need be, if it is our next slot."""
+        if order == self.next_own and self._in_window(order):
+            self._propose(order, allow_empty=True)
+            self._advance()
+
+    def _take_batch(self, order: int) -> tuple[Request, ...]:
         batch: list[Request] = []
         while self.pending and len(batch) < self.config.batch_size:
             request = self.pending.popleft()
             if request.key in self._proposed_keys:
                 continue
             batch.append(request)
-            self._proposed_keys.add(request.key)
+            self._proposed_keys[request.key] = order
         return tuple(batch)
 
+    def _certified(self, bare):
+        return replace(bare, auth=self.certifier.create(bare))
+
     def _propose(self, order: int, allow_empty: bool = False) -> None:
-        batch = self._take_batch()
+        batch = self._take_batch(order)
         if not batch and not allow_empty:
             return
         for request in batch:
             self.client_crypto.compute_mac(b"client-session", request.digestible(), size_hint=32)
-        bare = PrePrepare(self.view, order, batch, self.me)
-        pre_prepare = replace(bare, auth=self.certifier.create(bare))
+        pre_prepare = self._certified(PrePrepare(self.view, order, batch, self.me))
         instance = self._instance(order)
         instance.view = self.view
         instance.pre_prepare = pre_prepare
@@ -275,7 +287,7 @@ class PbftPillar(Stage):
         self.proposals += 1
         self._own_inflight += 1
         self.next_own = self._first_own_slot_after(order)
-        self.broadcast(list(self.peer_addresses.values()), pre_prepare)
+        self.broadcast(self.peers, pre_prepare)
 
     # ------------------------------------------------------------------
     # Three phases
@@ -310,10 +322,9 @@ class PbftPillar(Stage):
         instance.pre_prepare = pre_prepare
         instance.proposal_digest = free_digest(pre_prepare.proposal_digestible())
         instance.proposed_at_ns = self.now
-        bare = PbftPrepare(pre_prepare.view, order, self.me, instance.proposal_digest)
-        prepare = replace(bare, auth=self.certifier.create(bare))
+        prepare = self._certified(PbftPrepare(pre_prepare.view, order, self.me, instance.proposal_digest))
         instance.prepare_votes[self.me] = instance.proposal_digest
-        self.broadcast(list(self.peer_addresses.values()), prepare)
+        self.broadcast(self.peers, prepare)
         self._check_prepared(instance)
 
     def _on_prepare(self, prepare: PbftPrepare) -> None:
@@ -337,9 +348,9 @@ class PbftPillar(Stage):
             return
         instance.prepared = True
         bare = PbftCommit(instance.view, instance.order, self.me, instance.proposal_digest)
-        commit = replace(bare, auth=self.certifier.create(bare))
+        commit = self._certified(bare)
         instance.commit_votes[self.me] = instance.proposal_digest
-        self.broadcast(list(self.peer_addresses.values()), commit)
+        self.broadcast(self.peers, commit)
         self._check_committed(instance)
 
     def _on_commit(self, commit: PbftCommit) -> None:
@@ -385,11 +396,9 @@ class PbftPillar(Stage):
         if not self._in_window(order):
             return
         if self.config.proposer_of(self.view, order) == self.me:
-            if order == self.next_own:
-                self._propose(order, allow_empty=True)
-                self._advance()
+            self._fill_own_slot(order)
             return
-        self.broadcast(list(self.peer_addresses.values()), InstanceFetch(order, self.view))
+        self.broadcast(self.peers, InstanceFetch(order, self.view))
 
     def _on_instance_fetch(self, src: Address, message: InstanceFetch) -> None:
         if message.view != self.view:
@@ -406,118 +415,38 @@ class PbftPillar(Stage):
                 self.send(src, instance.pre_prepare)
         if self.me in instance.prepare_votes and instance.proposal_digest is not None:
             bare = PbftPrepare(instance.view, message.order, self.me, instance.proposal_digest)
-            self.send(src, replace(bare, auth=self.certifier.create(bare)))
+            self.send(src, self._certified(bare))
         if self.me in instance.commit_votes and instance.proposal_digest is not None:
             bare = PbftCommit(instance.view, message.order, self.me, instance.proposal_digest)
-            self.send(src, replace(bare, auth=self.certifier.create(bare)))
+            self.send(src, self._certified(bare))
 
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def _on_ck_reached(self, message: CkReached) -> None:
-        order, digest = message.order, message.state_digest
-        if order <= self.stable_ck_order:
-            return
-        self._own_ck_digests[order] = digest
-        bare = PbftCheckpoint(order, self.me, digest)
-        checkpoint = replace(bare, auth=self.certifier.create(bare))
-        self.broadcast(list(self.peer_addresses.values()), checkpoint)
-        if self._ck_quorum.add((order, digest), self.me, checkpoint) or self._ck_quorum.reached(
-            (order, digest)
-        ):
-            self._declare_stable(order)
-
-    def _on_checkpoint(self, checkpoint: PbftCheckpoint) -> None:
-        if checkpoint.order <= self.stable_ck_order:
-            return
-        if not self.certifier.verify(checkpoint):
-            return
-        key = checkpoint.agreement_key()
-        if self._ck_quorum.add(key, checkpoint.replica, checkpoint):
-            if self._own_ck_digests.get(checkpoint.order) == checkpoint.state_digest:
-                self._declare_stable(checkpoint.order)
-            else:
-                # a quorum advanced without us: fetch the state if our own
-                # execution does not catch up in time
-                certificate = tuple(self._ck_quorum.payloads(key))
-                self._remote_stable[checkpoint.order] = (checkpoint.replica, certificate)
-                self.set_timer(
-                    self.config.fill_gap_timeout_ns, self._check_fallen_behind, checkpoint.order
-                )
-
-    def _check_fallen_behind(self, order: int) -> None:
-        entry = self._remote_stable.pop(order, None)
-        if entry is None or order <= self.stable_ck_order:
-            return  # the checkpoint became stable locally in the meantime
+    def _fetch_state(self, order: int, source: str) -> None:
+        """A quorum checkpointed ``order`` but we never matched it: fetch its state."""
         if self._transfer_in_flight is not None and self._transfer_in_flight >= order:
             return
-        source, _certificate = entry
         self._transfer_in_flight = order
         self.send((source, "exec"), StateRequest(self.me, order))
 
     def _on_state_response(self, response: StateResponse) -> None:
         self._transfer_in_flight = None
-        if response.checkpoint_order <= self.stable_ck_order:
+        if not self.checkpoints.install(response, self.stable_ck_order, self.exec_address):
             return
-        certificate = response.checkpoint_certificate
-        voters = set()
-        for checkpoint in certificate:
-            if not isinstance(checkpoint, PbftCheckpoint):
-                return
-            if checkpoint.order != response.checkpoint_order:
-                return
-            if checkpoint.state_digest != certificate[0].state_digest:
-                return
-            if not self.certifier.verify(checkpoint):
-                return
-            voters.add(checkpoint.replica)
-        if len(voters) < 2 * self.f_pbft + 1:
-            return
-        snapshot, reply_vector = response.snapshot
-        if self.exec_address is not None:
-            self.send(
-                self.exec_address,
-                StateInstall(
-                    response.checkpoint_order,
-                    snapshot,
-                    reply_vector,
-                    certificate[0].state_digest,
-                ),
-            )
-        announcement = CkStable(response.checkpoint_order, certificate)
-        node = self.endpoint.node
-        for i in range(self.config.num_pillars):
-            if i != self.index:
-                self.send((node, f"pillar{i}"), announcement)
-        self._apply_stable_checkpoint(response.checkpoint_order)
+        order, certificate = response.checkpoint_order, response.checkpoint_certificate
+        announcement = CkStable(order, certificate)
+        for address in replica_stages(self, with_exec=False):
+            self.send(address, announcement)
+        self.checkpoints.apply(order, certificate)
 
-    def _declare_stable(self, order: int) -> None:
-        digest = self._own_ck_digests[order]
-        announcement = CkStable(order, tuple(self._ck_quorum.payloads((order, digest))))
-        node = self.endpoint.node
-        for i in range(self.config.num_pillars):
-            if i != self.index:
-                self.send((node, f"pillar{i}"), announcement)
-        if self.exec_address is not None:
-            self.send(self.exec_address, announcement)
-        self._apply_stable_checkpoint(order)
-
-    def _apply_stable_checkpoint(self, order: int) -> None:
-        if order <= self.stable_ck_order:
-            return
-        self.stable_ck_order = order
-        self._remote_stable.pop(order, None)
-        self.low_mark = order
-        for stale in [o for o in self._instances if o <= order]:
-            del self._instances[stale]
-        for stale in [o for o in self._own_ck_digests if o <= order]:
-            del self._own_ck_digests[stale]
-        self._ck_quorum.discard_below((order + 1, b""))
+    def _on_checkpoint_stable(self, order: int) -> None:
+        forget_through(self._instances, order)
+        self._proposed_keys = {key: o for key, o in self._proposed_keys.items() if o > order}
         self.next_own = max(self.next_own, self._first_own_slot_after(order))
         # replay proposals that had arrived ahead of the old window
         ready = sorted(o for o in self._lookahead if self._in_window(o))
-        for stale in [o for o in self._lookahead if o <= order]:
-            del self._lookahead[stale]
+        forget_through(self._lookahead, order)
         for o in ready:
             pre_prepare = self._lookahead.pop(o, None)
             if pre_prepare is not None:

@@ -27,7 +27,6 @@ class InstanceState:
     acknowledgments: set[str] = field(default_factory=set)
     commits: dict[str, Commit] = field(default_factory=dict)
     committed: bool = False
-    delivered: bool = False
     own_commit: Commit | None = None
     proposed_at_ns: int = 0
 
@@ -73,6 +72,12 @@ class OrderingLog:
         stale = [order for order in self._instances if order <= checkpoint_order]
         for order in stale:
             del self._instances[order]
+
+    def discard_uncommitted_before(self, view: int) -> None:
+        """Forget instances of views before ``view`` that never committed."""
+        for order, state in list(self._instances.items()):
+            if state.view < view and not state.committed:
+                del self._instances[order]
 
     def uncommitted(self) -> list[InstanceState]:
         """Instances with a proposal but no committed certificate yet."""

@@ -29,9 +29,9 @@ from collections import deque
 from dataclasses import replace
 from typing import Any
 
+from repro.core.checkpoint import Checkpoints, forget_through, replica_stages
 from repro.core.config import ReplicaGroupConfig
-from repro.core.log import OrderingLog
-from repro.core.quorum import MatchingQuorum
+from repro.core.log import InstanceState, OrderingLog
 from repro.core.seqnum import flatten, unflatten
 from repro.crypto.costs import JAVA
 from repro.crypto.digests import digest as free_digest
@@ -100,11 +100,16 @@ class Pillar(Stage):
         self._seen_ahead = 0  # highest proposal order observed from peers
         self._gap_timer_armed = False
 
-        self.stable_ck_order = 0  # 0 = the genesis checkpoint
-        self.stable_ck_cert: tuple[Checkpoint, ...] = ()
-        self._ck_quorum = MatchingQuorum(config.quorum_size)
-        self._own_ck_digests: dict[int, bytes] = {}
-        self._remote_stable: dict[int, tuple[str, tuple[Checkpoint, ...]]] = {}
+        self.checkpoints = Checkpoints(
+            self,
+            config.quorum_size,
+            Checkpoint,
+            certify=self._certify_checkpoint,
+            verify=self._verify_checkpoint,
+            advance=self._on_checkpoint_stable,
+            announce_to=lambda: replica_stages(self),
+            fetch=self._fetch_state,
+        )
 
         self._cached_vc_parts: dict[int, ViewChange] = {}
         self._cached_nv_parts: dict[int, NewView] = {}
@@ -125,6 +130,7 @@ class Pillar(Stage):
         self.peer_addresses: dict[str, Address] = {
             rid: (rid, self.name) for rid in config.replica_ids if rid != replica_id
         }
+        self.peers = list(self.peer_addresses.values())
         # Wired by the replica.
         self.exec_address: Address | None = None
         self.coordinator_address: Address | None = None
@@ -140,6 +146,14 @@ class Pillar(Stage):
     @property
     def me(self) -> str:
         return self.replica_id
+
+    @property
+    def stable_ck_order(self) -> int:
+        return self.checkpoints.stable_order
+
+    @property
+    def stable_ck_cert(self) -> tuple[Checkpoint, ...]:
+        return self.checkpoints.stable_cert
 
     def _flatten(self, view: int, order: int) -> int:
         return flatten(view, order, self.config.order_bits)
@@ -190,11 +204,11 @@ class Pillar(Stage):
         elif isinstance(message, Commit):
             self._on_commit(src, message)
         elif isinstance(message, Checkpoint):
-            self._on_checkpoint(src, message)
+            self.checkpoints.receive(message)
         elif isinstance(message, CkReached):
-            self._on_ck_reached(message)
+            self.checkpoints.reached(message.order, message.state_digest)
         elif isinstance(message, CkStable):
-            self._apply_stable_checkpoint(message.order, message.certificate)
+            self.checkpoints.apply(message.order, message.certificate)
         elif isinstance(message, FillGap):
             self._on_fill_gap(message)
         elif isinstance(message, InstanceFetch):
@@ -256,7 +270,7 @@ class Pillar(Stage):
                         continue  # stale buffered proposal from an aborted view
                     if not self._verify_prepare(prepare):
                         continue  # buffered before its turn, so never checked
-                    self._accept_prepare(prepare)
+                    self._acknowledge(prepare)
                     progressed = True
 
     def _arm_noop_timer(self, order: int) -> None:
@@ -266,15 +280,15 @@ class Pillar(Stage):
 
     def _noop_tick(self, order: int) -> None:
         self._noop_timer = None
-        if not self.view_stable:
-            return
+        if self.view_stable:
+            self._fill_own_slot(order)
+
+    def _fill_own_slot(self, order: int) -> None:
+        """Propose at ``order``, empty if need be, if it is our lane's next slot."""
         lane = self.config.lane_of(self.view, order)
-        if order != self.lane_next.get(lane):
-            return
-        if self.config.proposer_of(self.view, order) != self.me:
-            return
-        self._propose(order, allow_empty=True)
-        self._advance()
+        if order == self.lane_next.get(lane) and self.config.proposer_of(self.view, order) == self.me:
+            self._propose(order, allow_empty=True)
+            self._advance()
 
     def _batch_ready(self) -> bool:
         """Adaptive batching: full batch, or an idle pipeline (low load).
@@ -313,38 +327,54 @@ class Pillar(Stage):
         self._linger_deadline = None
         if not batch and not allow_empty:
             return
-        # one vectorized MAC pass over the batch: the modelled cost of
-        # verifying every client MAC (the result is not compared)
-        digestibles = [request.digestible() for request in batch]
-        self.client_crypto.compute_mac_batch(b"client-session", digestibles, size_hint_each=32)
         lane = self.config.lane_of(self.view, order)
-        bare = Prepare(self.view, order, batch, self.me)
+        instance = self._certify_proposal(Prepare(self.view, order, batch, self.me), lane)
+        certificate = instance.prepare.certificate
+        self.proposals += 1
+        self.trace("propose", (self.view, order, len(batch)))
+        self.trace("counter-cert", (certificate.counter, certificate.new_value))
+        self._own_inflight += 1
+        self._advance_lane(lane, order)
+        self.broadcast(self.peers, instance.prepare)
+        self._check_committed(instance)
+
+    def _certify_proposal(self, bare: Prepare, lane: int) -> InstanceState:
+        """Certify our proposal on ``lane``'s counter and record its instance."""
+        digestibles = [request.digestible() for request in bare.batch]
+        if not bare.reproposal:
+            # one vectorized MAC pass over the batch: the modelled cost of
+            # verifying every client MAC (the result is not compared)
+            self.client_crypto.compute_mac_batch(b"client-session", digestibles, size_hint_each=32)
         # leaf digests are computed outside the enclave; TrInX certifies
         # the fixed-size header plus the root over the ordered leaves
         leaves = self.client_crypto.digest_batch(digestibles, size_hint_each=32)
         certificate = self.trinx.create_independent_batch(
             self.config.ordering_counter(lane),
-            self._flatten(self.view, order),
+            self._flatten(bare.view, bare.order),
             bare.certified_digestible(),
             leaves,
         )
         prepare = replace(bare, certificate=certificate, batch_digest=batch_root(leaves))
-        instance = self.log.instance(order)
-        instance.view = self.view
+        for request in bare.batch:
+            self._proposed_keys[request.key] = bare.order
+        return self._record(prepare, {self.me})
+
+    def _record(self, prepare: Prepare, acknowledgments: set[str]) -> InstanceState:
+        """Make ``prepare`` the proposal of its instance."""
+        instance = self.log.instance(prepare.order)
+        instance.view = prepare.view
         instance.prepare = prepare
         instance.proposal_digest = free_digest(prepare.proposal_digestible())
-        instance.acknowledgments = {self.me}
+        instance.acknowledgments = acknowledgments
         instance.proposed_at_ns = self.now
-        for request in batch:
-            self._proposed_keys[request.key] = order
-        self.proposals += 1
-        self.trace("propose", (prepare.view, order, len(batch)))
-        self.trace("counter-cert", (certificate.counter, certificate.new_value))
-        self._own_inflight += 1
-        self._advance_lane(lane, order)
-        self.broadcast(list(self.peer_addresses.values()), prepare)
-        self._absorb_buffered_commits(instance)
-        self._check_committed(instance)
+        if prepare.reproposal:
+            # a NEW-VIEW re-proposal replaces what the aborted view left
+            instance.committed = False
+            instance.commits = {}
+        for sender, commit in instance.commits.items():
+            if commit.view == prepare.view and commit.proposal_digest == instance.proposal_digest:
+                instance.acknowledgments.add(sender)  # it arrived before the PREPARE
+        return instance
 
     # ------------------------------------------------------------------
     # Ordering: following
@@ -384,31 +414,47 @@ class Pillar(Stage):
             return
         if not self._verify_prepare(prepare):
             return
-        self._accept_prepare(prepare)
+        self._acknowledge(prepare)
         self._advance()
 
-    def _verify_prepare(self, prepare: Prepare) -> bool:
-        """Validate a PREPARE's independent counter certificate."""
-        certificate = prepare.certificate
-        if certificate is None or certificate.previous_value is not None:
+    def _verify_prepare(self, prepare: Prepare, in_view_change: bool = False) -> bool:
+        """Validate a PREPARE's independent counter certificate.
+
+        Inside a VIEW-CHANGE, NEW-VIEW or NEW-VIEW-ACK (``in_view_change``)
+        a re-proposal is valid and ``verify_trinx`` does not apply.
+        """
+        if self.config.pillar_of_order(prepare.order) != self.index:
             return False
         if prepare.reproposal:
-            return False  # re-proposals only arrive inside NEW-VIEW messages
-        proposer = self.config.proposer_of(prepare.view, prepare.order)
+            if not in_view_change:
+                return False  # re-proposals only arrive inside NEW-VIEW messages
+            proposer = self.config.primary_of_view(prepare.view)
+            lane = self._reproposal_lane(proposer)
+        else:
+            proposer = self.config.proposer_of(prepare.view, prepare.order)
+            lane = self.config.lane_of(prepare.view, prepare.order)
         if prepare.leader != proposer:
             return False
-        expected_issuer = self.config.trinx_instance_id(proposer, self.config.pillar_of_order(prepare.order))
-        if certificate.issuer != expected_issuer:
+        if not self._certificate_fields_match(prepare, proposer, lane):
             return False
-        if certificate.counter != self.config.ordering_counter(
-            self.config.lane_of(prepare.view, prepare.order)
-        ):
-            return False
-        if certificate.new_value != self._flatten(prepare.view, prepare.order):
-            return False
-        if not self.verify_trinx:
+        if not self.verify_trinx and not in_view_change:
             return True
         return self._verify_batch_certificate(prepare)
+
+    def _certificate_fields_match(self, message: Prepare | Commit, sender: str, lane: int) -> bool:
+        """An independent certificate by ``sender``, on ``lane``'s counter, for ``[view|order]``."""
+        certificate = message.certificate
+        return (
+            certificate is not None
+            and certificate.previous_value is None
+            and certificate.issuer == self.config.trinx_instance_id(sender, self.index)
+            and certificate.counter == self.config.ordering_counter(lane)
+            and certificate.new_value == self._flatten(message.view, message.order)
+        )
+
+    def _reproposal_lane(self, primary: str) -> int:
+        """A new primary re-proposes on its own lane's counter."""
+        return self.config.index_of(primary) if self.config.rotation else 0
 
     def _verify_batch_certificate(self, prepare: Prepare) -> bool:
         """Membership check: every request must hash into the certified root.
@@ -428,22 +474,19 @@ class Pillar(Stage):
             prepare.certificate, prepare.certified_digestible(), leaves
         )
 
-    def _accept_prepare(self, prepare: Prepare) -> None:
-        """Acknowledge a verified PREPARE at its lane's next expected order."""
-        # followers pay the modelled cost of verifying the client MACs of
-        # proposed requests too (the computed MACs are not compared)
-        self.client_crypto.compute_mac_batch(
-            b"client-session",
-            [request.digestible() for request in prepare.batch],
-            size_hint_each=32,
-        )
+    def _acknowledge(self, prepare: Prepare) -> None:
+        """Accept a verified PREPARE (or NEW-VIEW re-proposal) and send our COMMIT."""
+        if not prepare.reproposal:
+            # followers pay the modelled cost of verifying the client MACs of
+            # proposed requests too (the computed MACs are not compared)
+            self.client_crypto.compute_mac_batch(
+                b"client-session",
+                [request.digestible() for request in prepare.batch],
+                size_hint_each=32,
+            )
         order = prepare.order
         lane = self.config.lane_of(prepare.view, order)
-        instance = self.log.instance(order)
-        instance.view = prepare.view
-        instance.prepare = prepare
-        instance.proposal_digest = free_digest(prepare.proposal_digestible())
-        instance.proposed_at_ns = self.now
+        instance = self._record(prepare, {prepare.leader, self.me})
         bare = Commit(prepare.view, order, self.me, instance.proposal_digest)
         certificate = self.trinx.create_independent(
             self.config.ordering_counter(lane),
@@ -453,19 +496,17 @@ class Pillar(Stage):
         )
         commit = replace(bare, certificate=certificate)
         instance.own_commit = commit
-        instance.acknowledgments = {prepare.leader, self.me}
         self.commits_sent += 1
         self.trace("counter-cert", (certificate.counter, certificate.new_value))
         self._advance_lane(lane, order)
-        self.broadcast(list(self.peer_addresses.values()), commit)
-        self._absorb_buffered_commits(instance)
+        self.broadcast(self.peers, commit)
         self._check_committed(instance)
 
     def _re_acknowledge(self, prepare: Prepare) -> None:
         """The proposer retransmitted: resend our COMMIT if we have one."""
         instance = self.log.peek(prepare.order)
         if instance is not None and instance.own_commit is not None and instance.view == prepare.view:
-            self.broadcast(list(self.peer_addresses.values()), instance.own_commit)
+            self.broadcast(self.peers, instance.own_commit)
 
     def _on_commit(self, src: Address, commit: Commit) -> None:
         order = commit.order
@@ -491,31 +532,12 @@ class Pillar(Stage):
             self._check_committed(instance)
 
     def _verify_commit(self, commit: Commit) -> bool:
-        certificate = commit.certificate
-        if certificate is None or certificate.previous_value is not None:
-            return False
-        expected_issuer = self.config.trinx_instance_id(commit.replica, self.index)
-        if certificate.issuer != expected_issuer:
-            return False
-        if certificate.counter != self.config.ordering_counter(
-            self.config.lane_of(commit.view, commit.order)
-        ):
-            return False
-        if certificate.new_value != self._flatten(commit.view, commit.order):
+        lane = self.config.lane_of(commit.view, commit.order)
+        if not self._certificate_fields_match(commit, commit.replica, lane):
             return False
         if not self.verify_trinx:
             return True
-        return self.trinx.verify(certificate, commit.digestible(), size_hint=commit.wire_size())
-
-    def _absorb_buffered_commits(self, instance) -> None:
-        """Count commits that arrived before the PREPARE did."""
-        for sender, commit in list(instance.commits.items()):
-            if (
-                commit.view == instance.view
-                and instance.proposal_digest is not None
-                and commit.proposal_digest == instance.proposal_digest
-            ):
-                instance.acknowledgments.add(sender)
+        return self.trinx.verify(commit.certificate, commit.digestible(), size_hint=commit.wire_size())
 
     def _check_committed(self, instance) -> None:
         if instance.committed or instance.prepare is None:
@@ -546,14 +568,15 @@ class Pillar(Stage):
         if self.now - self._last_unstable_nudge_ns < self.config.viewchange_timeout_ns // 2:
             return
         self._last_unstable_nudge_ns = self.now
-        self.send(
-            self.coordinator_address,
-            RequestVc(
-                reason="ordering traffic while view is unstable",
-                suspected_view=self.view,
-                resend_only=True,
-            ),
-        )
+        self._suspect("ordering traffic while view is unstable", resend_only=True)
+
+    def _suspect(self, reason: str, resend_only: bool = False) -> None:
+        """Ask the coordinator for a view change (``resend_only``: a VIEW-CHANGE resend)."""
+        if self.coordinator_address is not None:
+            self.send(
+                self.coordinator_address,
+                RequestVc(reason=reason, suspected_view=self.view, resend_only=resend_only),
+            )
 
     def _note_higher_view(self, view: int, witness: str) -> None:
         """Ordering traffic for a higher view: we missed a view change.
@@ -568,10 +591,7 @@ class Pillar(Stage):
             return
         if len(witnesses) >= max(1, self.config.f) and self.coordinator_address is not None:
             self._reported_higher_view = view
-            self.send(
-                self.coordinator_address,
-                RequestVc(reason=f"ordering traffic for higher view {view}", suspected_view=self.view),
-            )
+            self._suspect(f"ordering traffic for higher view {view}")
 
     def _note_gap(self) -> None:
         """Arm a catch-up probe: proposals exist beyond our next slot.
@@ -600,7 +620,7 @@ class Pillar(Stage):
             and order not in self._buffered_prepares
         ]
         for order in missing:
-            self.broadcast(list(self.peer_addresses.values()), InstanceFetch(order, self.view))
+            self.broadcast(self.peers, InstanceFetch(order, self.view))
         if missing:
             self._note_gap()  # keep probing until the holes close
 
@@ -609,14 +629,11 @@ class Pillar(Stage):
         if not self.view_stable:
             return
         if self.config.proposer_of(self.view, order) == self.me:
-            lane = self.config.lane_of(self.view, order)
-            if order == self.lane_next.get(lane):
-                self._propose(order, allow_empty=True)
-                self._advance()
+            self._fill_own_slot(order)
             return
         # not ours: the instance stalls locally (lost PREPARE or COMMITs) —
         # ask the peers to retransmit their ordering messages for it
-        self.broadcast(list(self.peer_addresses.values()), InstanceFetch(order, self.view))
+        self.broadcast(self.peers, InstanceFetch(order, self.view))
 
     def _on_instance_fetch(self, src: Address, message: InstanceFetch) -> None:
         if message.view != self.view or not self.view_stable:
@@ -642,53 +659,20 @@ class Pillar(Stage):
                 age = now - instance.proposed_at_ns
                 oldest_age = max(oldest_age, age)
                 if instance.prepare.leader == self.me and age > self.config.retransmit_interval_ns:
-                    self.broadcast(list(self.peer_addresses.values()), instance.prepare)
-            if oldest_age > self.config.viewchange_timeout_ns and self.coordinator_address is not None:
-                self.send(
-                    self.coordinator_address,
-                    RequestVc(
-                        reason=f"pillar {self.index}: instance without quorum for {oldest_age} ns",
-                        suspected_view=self.view,
-                    ),
-                )
+                    self.broadcast(self.peers, instance.prepare)
+            if oldest_age > self.config.viewchange_timeout_ns:
+                self._suspect(f"pillar {self.index}: instance without quorum for {oldest_age} ns")
         self.set_timer(self.config.retransmit_interval_ns, self._on_retransmit_tick)
 
     # ------------------------------------------------------------------
     # Checkpointing (shared: this pillar runs checkpoints k with k mod P == index)
     # ------------------------------------------------------------------
-    def _on_ck_reached(self, message: CkReached) -> None:
-        order, digest = message.order, message.state_digest
-        if order <= self.stable_ck_order:
-            return
-        self._own_ck_digests[order] = digest
+    def _certify_checkpoint(self, order: int, digest: bytes) -> Checkpoint:
         bare = Checkpoint(order, self.me, digest)
         certificate = self.trinx.create_trusted_mac(
             self.config.mac_counter, bare.digestible(), size_hint=bare.wire_size()
         )
-        checkpoint = replace(bare, certificate=certificate)
-        self.broadcast(list(self.peer_addresses.values()), checkpoint)
-        if self._ck_quorum.add((order, digest), self.me, checkpoint):
-            self._declare_stable(order, digest)
-        elif self._ck_quorum.reached((order, digest)):
-            # the quorum had formed before our own snapshot arrived
-            self._declare_stable(order, digest)
-
-    def _on_checkpoint(self, src: Address, checkpoint: Checkpoint) -> None:
-        if checkpoint.order <= self.stable_ck_order:
-            return
-        if not self._verify_checkpoint(checkpoint):
-            return
-        key = checkpoint.agreement_key()
-        if self._ck_quorum.add(key, checkpoint.replica, checkpoint):
-            own = self._own_ck_digests.get(checkpoint.order)
-            if own == checkpoint.state_digest:
-                self._declare_stable(checkpoint.order, checkpoint.state_digest)
-            else:
-                # a quorum advanced without us: remember it and fetch state
-                # if our own execution does not catch up in time
-                certificate = tuple(self._ck_quorum.payloads(key))
-                self._remote_stable[checkpoint.order] = (checkpoint.replica, certificate)
-                self.set_timer(self.config.fill_gap_timeout_ns, self._check_fallen_behind, checkpoint.order)
+        return replace(bare, certificate=certificate)
 
     def _verify_checkpoint(self, checkpoint: Checkpoint) -> bool:
         certificate = checkpoint.certificate
@@ -703,52 +687,21 @@ class Pillar(Stage):
             return False
         return self.trinx.verify(certificate, checkpoint.digestible(), size_hint=checkpoint.wire_size())
 
-    def _declare_stable(self, order: int, digest: bytes) -> None:
-        certificate = tuple(self._ck_quorum.payloads((order, digest)))
-        self._remote_stable.pop(order, None)
-        announcement = CkStable(order, certificate)
-        for address in self._local_stage_addresses():
-            self.send(address, announcement)
-        self._apply_stable_checkpoint(order, certificate)
-
-    def _check_fallen_behind(self, order: int) -> None:
+    def _fetch_state(self, order: int, source: str) -> None:
         """A quorum checkpointed ``order`` but we never matched it: catch up."""
-        entry = self._remote_stable.pop(order, None)
-        if entry is None or order <= self.stable_ck_order:
-            return  # the checkpoint became stable locally in the meantime
-        source, _certificate = entry
         if self.coordinator_address is not None:
             self.send(self.coordinator_address, RequestState(order, source))
 
-    def _apply_stable_checkpoint(self, order: int, certificate: tuple[Checkpoint, ...]) -> None:
-        if order <= self.stable_ck_order:
-            return
-        self.stable_ck_order = order
+    def _on_checkpoint_stable(self, order: int) -> None:
         self.trace("checkpoint-stable", order)
-        self.stable_ck_cert = certificate
         self.log.advance(order)
         for lane in range(self.config.num_lanes):
             self.lane_next[lane] = max(self.lane_next[lane], self._first_lane_order_after(lane, order))
-        for buffered in [o for o in self._buffered_prepares if o <= order]:
-            del self._buffered_prepares[buffered]
-        for key, proposed_order in list(self._proposed_keys.items()):
-            if proposed_order <= order:
-                del self._proposed_keys[key]
-        for ck_order in [o for o in self._own_ck_digests if o <= order]:
-            del self._own_ck_digests[ck_order]
-        self._ck_quorum.discard_below((order + 1, b""))
+        forget_through(self._buffered_prepares, order)
+        self._proposed_keys = {key: o for key, o in self._proposed_keys.items() if o > order}
         if self.coordinator is not None:
-            self.coordinator.note_checkpoint(order, certificate)
+            self.coordinator.note_checkpoint(order, self.stable_ck_cert)
         self._advance()
-
-    def _local_stage_addresses(self) -> list[Address]:
-        node = self.endpoint.node
-        addresses = [
-            (node, f"pillar{i}") for i in range(self.config.num_pillars) if i != self.index
-        ]
-        if self.exec_address is not None:
-            addresses.append(self.exec_address)
-        return addresses
 
     # ------------------------------------------------------------------
     # View change: pillar-local duties
@@ -789,17 +742,16 @@ class Pillar(Stage):
             )
             part = replace(bare, multi_certificate=multi)
         self._cached_vc_parts[message.v_to] = part
-        self.broadcast(list(self.peer_addresses.values()), part)
+        self.broadcast(self.peers, part)
         self.send(self.coordinator_address, ForwardVc(part))
 
+    def _from_peer(self, part: ViewChange | NewView | NewViewAck, sender: str) -> bool:
+        """``part`` is this pillar's share of a peer's split message."""
+        return part.pillar == self.index and part.num_parts == self.config.num_pillars and sender != self.me
+
     def _on_view_change_part(self, src: Address, part: ViewChange) -> None:
-        if part.pillar != self.index or part.num_parts != self.config.num_pillars:
-            return
-        if part.replica == self.me:
-            return
-        if not self._verify_vc_part(part):
-            return
-        self.send(self.coordinator_address, ForwardVc(part))
+        if self._from_peer(part, part.replica) and self._verify_vc_part(part):
+            self.send(self.coordinator_address, ForwardVc(part))
 
     def _verify_vc_part(self, part: ViewChange) -> bool:
         """Full validation of one VIEW-CHANGE part (certificate, completeness)."""
@@ -830,7 +782,7 @@ class Pillar(Stage):
                 lane_previous[counter] = previous
             if not self.trinx.verify_multi(multi, part.digestible(), size_hint=part.wire_size()):
                 return False
-        if not self._verify_checkpoint_certificate(part.checkpoint_order, part.checkpoint_certificate):
+        if not self.checkpoints.verify_certificate(part.checkpoint_order, part.checkpoint_certificate):
             return False
         # Completeness: each lane's unforgeable previous counter value
         # reveals the last instance the sender actively participated in;
@@ -848,50 +800,7 @@ class Pillar(Stage):
                 if self.config.lane_of(prev_view, order) == lane and order not in covered:
                     return False
                 order += self.config.num_pillars
-        for prepare in part.prepares:
-            if self.config.pillar_of_order(prepare.order) != self.index:
-                return False
-            if not self._verify_foreign_prepare(prepare):
-                return False
-        return True
-
-    def _verify_foreign_prepare(self, prepare: Prepare) -> bool:
-        """Verify a PREPARE from an arbitrary (earlier) view."""
-        certificate = prepare.certificate
-        if certificate is None or certificate.previous_value is not None:
-            return False
-        if prepare.reproposal:
-            proposer = self.config.primary_of_view(prepare.view)
-            expected_counter = self.config.ordering_counter(
-                self.config.index_of(proposer) if self.config.rotation else 0
-            )
-        else:
-            proposer = self.config.proposer_of(prepare.view, prepare.order)
-            expected_counter = self.config.ordering_counter(
-                self.config.lane_of(prepare.view, prepare.order)
-            )
-        if prepare.leader != proposer:
-            return False
-        expected_issuer = self.config.trinx_instance_id(proposer, self.config.pillar_of_order(prepare.order))
-        if certificate.issuer != expected_issuer or certificate.counter != expected_counter:
-            return False
-        if certificate.new_value != self._flatten(prepare.view, prepare.order):
-            return False
-        return self._verify_batch_certificate(prepare)
-
-    def _verify_checkpoint_certificate(self, order: int, certificate: tuple[Checkpoint, ...]) -> bool:
-        if order <= 0:
-            return len(certificate) == 0  # the genesis checkpoint needs no proof
-        voters = set()
-        for checkpoint in certificate:
-            if checkpoint.order != order:
-                return False
-            if checkpoint.state_digest != certificate[0].state_digest:
-                return False
-            if not self._verify_checkpoint(checkpoint):
-                return False
-            voters.add(checkpoint.replica)
-        return len(voters) >= self.config.quorum_size
+        return all(self._verify_prepare(prepare, in_view_change=True) for prepare in part.prepares)
 
     # ------------------------------------------------------------------
     # NEW-VIEW: creation (leader pillars) and verification (all pillars)
@@ -899,9 +808,7 @@ class Pillar(Stage):
     def _on_nv_ready(self, message: NvReady) -> None:
         self.view = message.v_to
         self.log.advance(message.checkpoint_order)
-        reproposal_counter = self.config.ordering_counter(
-            self.config.index_of(self.me) if self.config.rotation else 0
-        )
+        lane = self._reproposal_lane(self.me)
         new_prepares = []
         floor = max(message.checkpoint_order, self.stable_ck_order)
         max_order = floor
@@ -909,27 +816,7 @@ class Pillar(Stage):
             if order <= floor:
                 continue  # covered by a checkpoint reached meanwhile
             bare = Prepare(message.v_to, order, batch, self.me, reproposal=True)
-            leaves = self.client_crypto.digest_batch(
-                [request.digestible() for request in batch], size_hint_each=32
-            )
-            certificate = self.trinx.create_independent_batch(
-                reproposal_counter,
-                self._flatten(message.v_to, order),
-                bare.certified_digestible(),
-                leaves,
-            )
-            prepare = replace(bare, certificate=certificate, batch_digest=batch_root(leaves))
-            new_prepares.append(prepare)
-            instance = self.log.instance(order)
-            instance.view = message.v_to
-            instance.prepare = prepare
-            instance.proposal_digest = free_digest(prepare.proposal_digestible())
-            instance.acknowledgments = {self.me}
-            instance.committed = False
-            instance.commits = {}
-            instance.proposed_at_ns = self.now
-            for request in batch:
-                self._proposed_keys[request.key] = order
+            new_prepares.append(self._certify_proposal(bare, lane).prepare)
             max_order = max(max_order, order)
         self._reset_lanes(after=max_order)
         part = NewView(
@@ -945,43 +832,32 @@ class Pillar(Stage):
             num_parts=self.config.num_pillars,
         )
         self._cached_nv_parts[message.v_to] = part
-        self.broadcast(list(self.peer_addresses.values()), part)
+        self.broadcast(self.peers, part)
         self.send(self.coordinator_address, ForwardNv(part))
 
     def _on_new_view_part(self, src: Address, part: NewView) -> None:
-        if part.pillar != self.index or part.num_parts != self.config.num_pillars:
+        if not self._from_peer(part, part.leader) or part.leader != self.config.primary_of_view(part.v_to):
             return
-        if part.leader == self.me:
+        if not all(
+            prepare.view == part.v_to and prepare.leader == part.leader and prepare.reproposal
+            and self._verify_prepare(prepare, in_view_change=True)
+            for prepare in part.prepares
+        ):
             return
-        if part.leader != self.config.primary_of_view(part.v_to):
-            return
-        for prepare in part.prepares:
-            if self.config.pillar_of_order(prepare.order) != self.index:
-                return
-            if prepare.view != part.v_to or prepare.leader != part.leader or not prepare.reproposal:
-                return
-            if not self._verify_foreign_prepare(prepare):
-                return
         for view_change in part.view_changes:
             if view_change.v_to != part.v_to or view_change.pillar != self.index:
                 return
             if view_change.replica != self.me and not self._verify_vc_part(view_change):
                 return
-        if not self._verify_checkpoint_certificate(part.checkpoint_order, part.checkpoint_certificate):
+        if not self.checkpoints.verify_certificate(part.checkpoint_order, part.checkpoint_certificate):
             return
         self.send(self.coordinator_address, ForwardNv(part))
 
     def _on_new_view_ack_part(self, src: Address, part: NewViewAck) -> None:
-        if part.pillar != self.index or part.num_parts != self.config.num_pillars:
-            return
-        if part.replica == self.me:
-            return
-        for prepare in part.prepares:
-            if self.config.pillar_of_order(prepare.order) != self.index:
-                return
-            if not self._verify_foreign_prepare(prepare):
-                return
-        self.send(self.coordinator_address, ForwardAck(part))
+        if self._from_peer(part, part.replica) and all(
+            self._verify_prepare(prepare, in_view_change=True) for prepare in part.prepares
+        ):
+            self.send(self.coordinator_address, ForwardAck(part))
 
     # ------------------------------------------------------------------
     # Stable view installation
@@ -989,16 +865,11 @@ class Pillar(Stage):
     def _on_nv_stable(self, message: NvStable) -> None:
         self.view = message.v_to
         self.view_stable = True
-        for stale in [v for v in self._higher_view_witnesses if v <= message.v_to]:
-            del self._higher_view_witnesses[stale]
+        forget_through(self._higher_view_witnesses, message.v_to)
         # instances of aborted views that the NEW-VIEW did not re-propose
         # were provably never committed anywhere: discard them
-        for order, instance in list(self.log._instances.items()):
-            if instance.view < message.v_to and not instance.committed:
-                del self.log._instances[order]
-        if message.checkpoint_order > self.stable_ck_order:
-            self.stable_ck_order = message.checkpoint_order
-            self.stable_ck_cert = message.checkpoint_certificate
+        self.log.discard_uncommitted_before(message.v_to)
+        if self.checkpoints.adopt(message.checkpoint_order, message.checkpoint_certificate):
             self.log.advance(message.checkpoint_order)
         # skip re-proposals already covered by a checkpoint — the NEW-VIEW's
         # own, or a newer one we reached via state transfer in the meantime
@@ -1010,34 +881,9 @@ class Pillar(Stage):
             max_order = max(max_order, prepare.order)
             if prepare.leader == self.me:
                 continue  # created by us in _on_nv_ready
-            self._accept_reproposal(prepare)
+            self._acknowledge(prepare)  # verified on receipt
         self._reset_lanes(after=max(max_order, self.stable_ck_order))
         self._advance()
-
-    def _accept_reproposal(self, prepare: Prepare) -> None:
-        """Acknowledge a NEW-VIEW re-proposal (already verified on receipt)."""
-        instance = self.log.instance(prepare.order)
-        instance.view = prepare.view
-        instance.prepare = prepare
-        instance.proposal_digest = free_digest(prepare.proposal_digestible())
-        instance.committed = False
-        instance.commits = {}
-        instance.proposed_at_ns = self.now
-        lane = self.config.lane_of(prepare.view, prepare.order)
-        bare = Commit(prepare.view, prepare.order, self.me, instance.proposal_digest)
-        certificate = self.trinx.create_independent(
-            self.config.ordering_counter(lane),
-            self._flatten(prepare.view, prepare.order),
-            bare.digestible(),
-            size_hint=bare.wire_size(),
-        )
-        commit = replace(bare, certificate=certificate)
-        instance.own_commit = commit
-        instance.acknowledgments = {prepare.leader, self.me}
-        self.commits_sent += 1
-        self.trace("counter-cert", (certificate.counter, certificate.new_value))
-        self.broadcast(list(self.peer_addresses.values()), commit)
-        self._check_committed(instance)
 
     def _on_ack_ready(self, message: AckReady) -> None:
         part = NewViewAck(
@@ -1047,7 +893,7 @@ class Pillar(Stage):
             pillar=self.index,
             num_parts=self.config.num_pillars,
         )
-        self.broadcast(list(self.peer_addresses.values()), part)
+        self.broadcast(self.peers, part)
 
     # ------------------------------------------------------------------
     # Retransmission of view-change artifacts
@@ -1055,7 +901,7 @@ class Pillar(Stage):
     def _on_resend_vc(self, message: ResendVc) -> None:
         part = self._cached_vc_parts.get(message.v_to)
         if part is not None:
-            self.broadcast(list(self.peer_addresses.values()), part)
+            self.broadcast(self.peers, part)
 
     def _on_resend_nv(self, message: ResendNv) -> None:
         part = self._cached_nv_parts.get(message.v_to)

@@ -30,8 +30,9 @@ message logs) covers replicas that fell arbitrarily far behind.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
+from repro.core.checkpoint import forget_through
 from repro.core.config import ReplicaGroupConfig
 from repro.crypto.digests import digest as free_digest
 from repro.messages.checkpointing import Checkpoint
@@ -48,7 +49,6 @@ from repro.messages.internal import (
     RequestVc,
     ResendNv,
     ResendVc,
-    StateInstall,
     StateInstalled,
     UnitVc,
     VcReady,
@@ -82,10 +82,6 @@ class _Combined:
         if part.pillar in self.parts:
             return False
         self.parts[part.pillar] = part
-        return len(self.parts) == self.num_parts
-
-    @property
-    def complete(self) -> bool:
         return len(self.parts) == self.num_parts
 
     def all_parts(self) -> list[Any]:
@@ -176,8 +172,7 @@ class ViewChangeCoordinator:
             return
         self.checkpoint_order = order
         self.checkpoint_certificate = certificate
-        for stale in [o for o in self.known_prepares if o <= order]:
-            del self.known_prepares[stale]
+        forget_through(self.known_prepares, order)
 
     # ------------------------------------------------------------------
     # Aborting a view
@@ -232,12 +227,10 @@ class ViewChangeCoordinator:
         # certificates taught us, newest view per order number winning
         merged: dict[int, Prepare] = {}
         for unit in units.values():
-            for prepare in unit.prepares:
-                self._consider_prepare(merged, prepare)
-        for prepare in self.known_prepares.values():
-            self._consider_prepare(merged, prepare)
+            keep_newest(merged, unit.prepares, self.checkpoint_order)
+        keep_newest(merged, self.known_prepares.values(), self.checkpoint_order)
         prepares_by_pillar = self._split_by_pillar(
-            [merged[order] for order in sorted(merged) if order > self.checkpoint_order]
+            [merged[order] for order in sorted(merged)]
         )
         self.pending_view = v_to
         self._send_to_pillars(
@@ -250,13 +243,6 @@ class ViewChangeCoordinator:
             )
         )
         self._restart_vc_timer()
-
-    def _consider_prepare(self, table: dict[int, Prepare], prepare: Prepare) -> None:
-        if prepare.order <= self.checkpoint_order:
-            return
-        current = table.get(prepare.order)
-        if current is None or prepare.view > current.view:
-            table[prepare.order] = prepare
 
     def _split_by_pillar(self, prepares: list[Prepare]) -> tuple[tuple[Prepare, ...], ...]:
         buckets: list[list[Prepare]] = [[] for _ in range(self.config.num_pillars)]
@@ -289,12 +275,17 @@ class ViewChangeCoordinator:
     # ------------------------------------------------------------------
     # Collecting VIEW-CHANGEs
     # ------------------------------------------------------------------
+    def _combine(self, store: dict, key: Any, part: Any) -> _Combined | None:
+        """File ``part`` under ``key``; the combined message once it just completed."""
+        combined = store.get(key)
+        if combined is None:
+            combined = store[key] = _Combined(self.config.num_pillars)
+        return combined if combined.add(part) else None
+
     def _on_forward_vc(self, part: ViewChange) -> None:
         key = (part.v_to, part.replica)
-        combined = self._vc_store.get(key)
+        combined = self._combine(self._vc_store, key, part)
         if combined is None:
-            combined = self._vc_store[key] = _Combined(self.config.num_pillars)
-        if not combined.add(part):
             return
         parts = combined.all_parts()
         if len({(p.v_from, p.checkpoint_order) for p in parts}) != 1:
@@ -323,8 +314,7 @@ class ViewChangeCoordinator:
         self._consider_joining()
 
     def _absorb_prepares(self, prepares: list[Prepare]) -> None:
-        for prepare in prepares:
-            self._consider_prepare(self.known_prepares, prepare)
+        keep_newest(self.known_prepares, prepares, self.checkpoint_order)
 
     def _consider_joining(self) -> None:
         """Join a higher view once >= f other replicas evidence it."""
@@ -371,10 +361,8 @@ class ViewChangeCoordinator:
 
         assignments: dict[int, Prepare] = {}
         for peer_combined in combined.values():
-            for prepare in peer_combined.all_prepares():
-                self._consider_prepare(assignments, prepare)
-        for order, prepare in self.known_prepares.items():
-            self._consider_prepare(assignments, prepare)
+            keep_newest(assignments, peer_combined.all_prepares(), self.checkpoint_order)
+        keep_newest(assignments, self.known_prepares.values(), self.checkpoint_order)
 
         top = max(assignments, default=self.checkpoint_order)
         self._nv_built.add(v_to)
@@ -406,12 +394,21 @@ class ViewChangeCoordinator:
             )
         )
 
-    def _base_view_confirmed(self, base_view: int, parts0: dict[str, ViewChange]) -> bool:
-        """Safety mechanism 3: f+1 witnesses that base_view was established."""
+    def _base_view_confirmed(
+        self, base_view: int, view_changes: dict[str, ViewChange], ack_replicas: Iterable[str] | None = None
+    ) -> bool:
+        """Safety mechanism 3: f+1 witnesses that base_view was established.
+
+        Witnesses are the senders of a VIEW-CHANGE from ``base_view``, the
+        senders of a complete NEW-VIEW-ACK for it (default: the ones we
+        collected), and we ourselves if we installed or accepted it.
+        """
         if base_view == 0:
             return True  # view 0 is established by definition
-        witnesses = {replica for replica, part in parts0.items() if part.v_from == base_view}
-        witnesses |= set(self._combined_acks.get(base_view, ()))
+        if ack_replicas is None:
+            ack_replicas = self._combined_acks.get(base_view, ())
+        witnesses = {replica for replica, part in view_changes.items() if part.v_from == base_view}
+        witnesses |= set(ack_replicas)
         if base_view == self.stable_view or base_view in self._processed_new_views:
             witnesses.add(self.me)
         return len(witnesses) >= self.config.f + 1
@@ -420,10 +417,8 @@ class ViewChangeCoordinator:
     # Processing NEW-VIEWs
     # ------------------------------------------------------------------
     def _on_forward_nv(self, part: NewView) -> None:
-        combined = self._nv_store.get(part.v_to)
+        combined = self._combine(self._nv_store, part.v_to, part)
         if combined is None:
-            combined = self._nv_store[part.v_to] = _Combined(self.config.num_pillars)
-        if not combined.add(part):
             return
         parts = combined.all_parts()
         if len({(p.leader, p.base_view, p.checkpoint_order) for p in parts}) != 1:
@@ -474,36 +469,23 @@ class ViewChangeCoordinator:
         base_view = part0.base_view
         if max(parts_list[0].v_from for parts_list in complete.values()) > base_view:
             return False
-        if base_view > 0:
-            witnesses = {
-                replica
-                for replica, vc_parts in complete.items()
-                if vc_parts[0].v_from == base_view
-            }
-            ack_replicas: dict[str, set[int]] = {}
-            for part in parts:
-                for ack in part.acks:
-                    if ack.view == base_view:
-                        ack_replicas.setdefault(ack.replica, set()).add(ack.pillar)
-            witnesses |= {
-                replica
-                for replica, pillars in ack_replicas.items()
-                if len(pillars) == self.config.num_pillars
-            }
-            if base_view == self.stable_view or base_view in self._processed_new_views:
-                witnesses.add(self.me)
-            if len(witnesses) < self.config.f + 1:
-                return False
+        ack_pillars: dict[str, set[int]] = {}
+        for part in parts:
+            for ack in part.acks:
+                if ack.view == base_view:
+                    ack_pillars.setdefault(ack.replica, set()).add(ack.pillar)
+        ack_replicas = [
+            replica for replica, pillars in ack_pillars.items() if len(pillars) == self.config.num_pillars
+        ]
+        view_changes = {replica: vc_parts[0] for replica, vc_parts in complete.items()}
+        if not self._base_view_confirmed(base_view, view_changes, ack_replicas):
+            return False
         # the re-proposals must reflect exactly the newest assignment per
         # order found in the certificate (no concealment, no invention)
         expected: dict[int, Prepare] = {}
         for vc_parts in complete.values():
             for view_change in vc_parts:
-                for prepare in view_change.prepares:
-                    if prepare.order > part0.checkpoint_order:
-                        current = expected.get(prepare.order)
-                        if current is None or prepare.view > current.view:
-                            expected[prepare.order] = prepare
+                keep_newest(expected, view_change.prepares, part0.checkpoint_order)
         included = {prepare.order: prepare for part in parts for prepare in part.prepares}
         top = max(expected, default=part0.checkpoint_order)
         for order in range(part0.checkpoint_order + 1, top + 1):
@@ -557,26 +539,18 @@ class ViewChangeCoordinator:
 
     def _garbage_collect(self, installed_view: int) -> None:
         """Bounded state: drop view-change artifacts for superseded views."""
-        for key in [k for k in self._vc_store if k[0] < installed_view]:
-            del self._vc_store[key]
-        for view in [v for v in self._combined_vcs if v < installed_view]:
-            del self._combined_vcs[view]
-        for view in [v for v in self._nv_store if v < installed_view]:
-            del self._nv_store[view]
-        for key in [k for k in self._ack_store if k[0] < installed_view]:
-            del self._ack_store[key]
-        for view in [v for v in self._combined_acks if v < installed_view]:
-            del self._combined_acks[view]
+        for by_view in (self._combined_vcs, self._nv_store, self._combined_acks):
+            forget_through(by_view, installed_view - 1)
+        for by_view_and_replica in (self._vc_store, self._ack_store):
+            for key in [key for key in by_view_and_replica if key[0] < installed_view]:
+                del by_view_and_replica[key]
 
     # ------------------------------------------------------------------
     # NEW-VIEW-ACKs
     # ------------------------------------------------------------------
     def _on_forward_ack(self, part: NewViewAck) -> None:
-        key = (part.view, part.replica)
-        combined = self._ack_store.get(key)
+        combined = self._combine(self._ack_store, (part.view, part.replica), part)
         if combined is None:
-            combined = self._ack_store[key] = _Combined(self.config.num_pillars)
-        if not combined.add(part):
             return
         self._combined_acks.setdefault(part.view, {})[part.replica] = combined
         self._absorb_prepares(combined.all_prepares())
@@ -599,20 +573,9 @@ class ViewChangeCoordinator:
         self.host.send(target, StateRequest(self.me, checkpoint_order))
 
     def _on_state_response(self, response: StateResponse) -> None:
-        if response.checkpoint_order <= self.checkpoint_order:
+        if not self.host.checkpoints.install(response, self.checkpoint_order, self.exec_address):
             self._transfer_in_flight = None
             return
-        if not self.host._verify_checkpoint_certificate(
-            response.checkpoint_order, response.checkpoint_certificate
-        ):
-            self._transfer_in_flight = None
-            return
-        snapshot, reply_vector = response.snapshot
-        expected_digest = response.checkpoint_certificate[0].state_digest
-        self.host.send(
-            self.exec_address,
-            StateInstall(response.checkpoint_order, snapshot, reply_vector, expected_digest),
-        )
         self._pending_checkpoint_cert = (response.checkpoint_order, response.checkpoint_certificate)
 
     def _on_state_installed(self, message: StateInstalled) -> None:
@@ -632,6 +595,16 @@ class ViewChangeCoordinator:
             self._consider_new_view(combined)
         if self.pending_view is not None:
             self._try_build_new_view(self.pending_view)
+
+
+def keep_newest(table: dict[int, Prepare], prepares: Iterable[Prepare], floor: int) -> None:
+    """Keep in ``table``, per order above ``floor``, the PREPARE of the newest view."""
+    for prepare in prepares:
+        if prepare.order <= floor:
+            continue
+        current = table.get(prepare.order)
+        if current is None or prepare.view > current.view:
+            table[prepare.order] = prepare
 
 
 def sorted_prepares(combined: _Combined) -> list[Prepare]:

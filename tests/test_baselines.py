@@ -191,3 +191,29 @@ class TestCash:
         # both threads issued one certificate, but the channel processed
         # them back to back: the second finisher waited ~2x the latency
         assert max(finish.values()) >= 2 * 57_000
+
+
+class TestProposedKeysPruned:
+    """A proposer's request-key table is pruned at each stable checkpoint.
+
+    Retries of executed requests are caught by the handler's watermark
+    (Hybster, PBFTcop) or MinBFT's reply cache, so the table only needs
+    the keys of orders inside the window.
+    """
+
+    @pytest.mark.parametrize("protocol", ["hybster-s", "pbft", "hybrid-pbft", "minbft"])
+    def test_table_stays_within_one_window(self, protocol):
+        from repro.runtime.deployment import DeploymentSpec, build_deployment
+        from repro.runtime.run import run
+
+        spec = DeploymentSpec(
+            protocol=protocol, cores=2 if "pbft" in protocol else 1,
+            num_clients=8, client_window=4, checkpoint_interval=16, window_size=64,
+        )
+        deployment = build_deployment(spec)
+        result = run(deployment, duration_ns=60_000_000)
+        assert result.completed > 2 * spec.window_size  # the window advanced several times
+        proposers = [
+            stage for replica in deployment.replicas for stage in getattr(replica, "pillars", [replica])
+        ]
+        assert max(len(stage._proposed_keys) for stage in proposers) <= spec.window_size * spec.batch_size
