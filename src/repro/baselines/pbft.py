@@ -5,7 +5,11 @@ This is the paper's primary baseline (§6, "Subjects"): the classic
 three-phase PBFT ordering protocol implemented on the same code base and
 parallelization scheme as Hybster — pillars own disjoint shares of the
 order-number space, an execution stage delivers globally, checkpoints are
-shared round-robin.  Differences from Hybster:
+shared round-robin.  ``PbftPillar`` drives the same ordering skeleton as
+Hybster's pillar (:class:`repro.core.ordering.OrderingStage`: window,
+lanes, batching, no-ops, gap fill, retransmission of its own proposals)
+and supplies only its certification, phases, quorums and follow rule.
+Differences from Hybster:
 
 * ``n = 3f + 1`` replicas; *prepared* needs the PRE-PREPARE plus ``2f``
   matching PREPAREs, *committed* needs ``2f + 1`` matching COMMITs;
@@ -15,7 +19,8 @@ shared round-robin.  Differences from Hybster:
   from TrInX (one enclave call out, one in) — that configuration is
   HybridPBFT;
 * equivocation is tolerated by the quorum sizes instead of prevented, so
-  no trusted counters constrain processing order.
+  no trusted counters constrain processing order: followers accept
+  proposals out of order.
 
 The view-change protocol is not implemented: the baseline exists for the
 fault-free performance comparison, exactly how the paper uses it.  Fault
@@ -24,28 +29,28 @@ handling is evaluated on Hybster (see tests/test_viewchange*.py).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.baselines.pbft_messages import PbftCheckpoint, PbftCommit, PbftPrepare, PrePrepare
 from repro.messages.ordering import InstanceFetch
-from repro.core.checkpoint import Checkpoints, forget_through, replica_stages
+from repro.core.checkpoint import Checkpoints, replica_stages
 from repro.core.config import COUNTER_M, ReplicaGroupConfig
 from repro.core.execution import ExecutionStage, ReplierStage
 from repro.core.handler import ClientHandler
+from repro.core.ordering import OrderingStage
 from repro.crypto.authenticators import AuthenticatorFactory
 from repro.crypto.costs import JAVA
 from repro.crypto.digests import digest as free_digest
 from repro.crypto.provider import CryptoProvider
 from repro.errors import ConfigurationError
 from repro.messages.client import Request
-from repro.messages.internal import CkReached, CkStable, ExecRequest, FillGap, OrderRequest
+from repro.messages.internal import CkReached, CkStable, FillGap, OrderRequest
 from repro.messages.statetransfer import StateRequest, StateResponse
 from repro.services.base import Service
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-from repro.sim.process import Address, Endpoint, Stage
+from repro.sim.process import Address, Endpoint
 from repro.sim.resources import Machine, SimThread
 from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.trinx.enclave import EnclavePlatform
@@ -97,12 +102,15 @@ class _TrustedMacCertifier:
 class _PbftInstance:
     order: int
     view: int = -1
-    pre_prepare: PrePrepare | None = None
+    prepare: PrePrepare | None = None  # the proposal (named as in the shared log)
     proposal_digest: bytes | None = None
     # digest each replica voted for; only votes matching the PRE-PREPARE's
     # proposal digest count towards the quorums
     prepare_votes: dict[str, bytes] = field(default_factory=dict)
     commit_votes: dict[str, bytes] = field(default_factory=dict)
+    # our own votes, re-sent on a duplicate PRE-PREPARE or an INSTANCE-FETCH
+    own_prepare: PbftPrepare | None = None
+    own_commit: PbftCommit | None = None
     prepared: bool = False
     committed: bool = False
     proposed_at_ns: int = 0
@@ -113,8 +121,12 @@ class _PbftInstance:
         return {replica for replica, digest in votes.items() if digest == self.proposal_digest}
 
 
-class PbftPillar(Stage):
-    """One PBFTcop ordering pillar (three-phase, class ``o mod P``)."""
+class PbftPillar(OrderingStage):
+    """One PBFTcop ordering pillar (three-phase, class ``o mod P``).
+
+    PBFT has no trusted counters, so a follower accepts proposals out of
+    order; only its own lane is proposed strictly ascending.
+    """
 
     def __init__(
         self,
@@ -127,25 +139,9 @@ class PbftPillar(Stage):
         f_pbft: int,
         crypto_profile=JAVA,
     ):
-        super().__init__(endpoint, thread, f"pillar{index}")
-        self.config = config
-        self.replica_id = replica_id
-        self.index = index
+        super().__init__(endpoint, thread, config, replica_id, index, crypto_profile, _PbftInstance)
         self.certifier = certifier
         self.f_pbft = f_pbft
-        self.client_crypto = CryptoProvider(crypto_profile, charge=endpoint.sim.charge)
-
-        self.view = 0
-        # next order number this replica proposes (its own slots ascending);
-        # PBFT has no trusted counters, so *acceptance* is out-of-order
-        self.next_own = self._first_own_slot_after(0)
-        self.pending: deque[Request] = deque()
-        self._own_inflight = 0  # own proposals not yet committed (batch pacing)
-        self._proposed_keys: dict[tuple[str, int], int] = {}  # request key -> order
-        self._instances: dict[int, _PbftInstance] = {}
-        # proposals that arrived ahead of our (lagging) window position
-        self._lookahead: dict[int, PrePrepare] = {}
-
         self.checkpoints = Checkpoints(
             self,
             2 * f_pbft + 1,
@@ -157,49 +153,6 @@ class PbftPillar(Stage):
             fetch=self._fetch_state,
         )
         self._transfer_in_flight: int | None = None
-
-        self.peers = [(rid, self.name) for rid in config.replica_ids if rid != replica_id]
-        self.exec_address: Address | None = None
-        self._noop_timer = None
-
-        self.proposals = 0
-        self.instances_committed = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def me(self) -> str:
-        return self.replica_id
-
-    @property
-    def stable_ck_order(self) -> int:
-        return self.checkpoints.stable_order
-
-    @property
-    def high_mark(self) -> int:
-        return self.stable_ck_order + self.config.window_size
-
-    def _class_order_at_or_after(self, candidate: int) -> int:
-        return candidate + (self.index - candidate) % self.config.num_pillars
-
-    _NEVER = 1 << 62  # sentinel: this replica proposes no orders (follower)
-
-    def _first_own_slot_after(self, order: int) -> int:
-        """Smallest class order above ``order`` this replica proposes."""
-        candidate = self._class_order_at_or_after(order + 1)
-        for _ in range(self.config.n):
-            if self.config.proposer_of(self.view, candidate) == self.me:
-                return candidate
-            candidate += self.config.num_pillars
-        return self._NEVER  # fixed-leader follower: no own slots
-
-    def _instance(self, order: int) -> _PbftInstance:
-        instance = self._instances.get(order)
-        if instance is None:
-            instance = self._instances[order] = _PbftInstance(order)
-        return instance
-
-    def _in_window(self, order: int) -> bool:
-        return self.stable_ck_order < order <= self.high_mark
 
     # ------------------------------------------------------------------
     def on_message(self, src: Address, message: Any) -> None:
@@ -224,74 +177,30 @@ class PbftPillar(Stage):
         elif isinstance(message, StateResponse):
             self._on_state_response(message)
 
-    # ------------------------------------------------------------------
-    # Proposing
-    # ------------------------------------------------------------------
-    def _on_order_request(self, message: OrderRequest) -> None:
-        for request in message.requests:
-            if request.key not in self._proposed_keys:
-                self.pending.append(request)
-        self._advance()
-
-    def _advance(self) -> None:
-        """Propose pending requests on our own slots, ascending."""
-        while self._in_window(self.next_own):
-            if not self.pending:
-                if self.config.rotation:
-                    self._arm_noop_timer(self.next_own)
-                return
-            if len(self.pending) < self.config.batch_size and self._own_inflight > 0:
-                return  # adaptive batching: let the batch fill while busy
-            self._propose(self.next_own)
-
-    def _arm_noop_timer(self, order: int) -> None:
-        if self._noop_timer is not None:
-            return
-        self._noop_timer = self.set_timer(self.config.noop_delay_ns, self._noop_tick, order)
-
-    def _noop_tick(self, order: int) -> None:
-        self._noop_timer = None
-        self._fill_own_slot(order)
-
-    def _fill_own_slot(self, order: int) -> None:
-        """Propose at ``order``, empty if need be, if it is our next slot."""
-        if order == self.next_own and self._in_window(order):
-            self._propose(order, allow_empty=True)
-            self._advance()
-
-    def _take_batch(self, order: int) -> tuple[Request, ...]:
-        batch: list[Request] = []
-        while self.pending and len(batch) < self.config.batch_size:
-            request = self.pending.popleft()
-            if request.key in self._proposed_keys:
-                continue
-            batch.append(request)
-            self._proposed_keys[request.key] = order
-        return tuple(batch)
-
     def _certified(self, bare):
         return replace(bare, auth=self.certifier.create(bare))
 
-    def _propose(self, order: int, allow_empty: bool = False) -> None:
-        batch = self._take_batch(order)
-        if not batch and not allow_empty:
-            return
-        for request in batch:
-            self.client_crypto.compute_mac(b"client-session", request.digestible(), size_hint=32)
-        pre_prepare = self._certified(PrePrepare(self.view, order, batch, self.me))
-        instance = self._instance(order)
-        instance.view = self.view
-        instance.pre_prepare = pre_prepare
+    def _record(self, pre_prepare: PrePrepare) -> _PbftInstance:
+        """Make ``pre_prepare`` the proposal of its instance."""
+        instance = self.log.instance(pre_prepare.order)
+        instance.view = pre_prepare.view
+        instance.prepare = pre_prepare
         instance.proposal_digest = free_digest(pre_prepare.proposal_digestible())
         instance.proposed_at_ns = self.now
-        self.proposals += 1
-        self._own_inflight += 1
-        self.next_own = self._first_own_slot_after(order)
-        self.broadcast(self.peers, pre_prepare)
+        return instance
+
+    def _verify_clients(self, batch: tuple[Request, ...]) -> None:
+        """One client-session MAC per request (the result is not compared)."""
+        for request in batch:
+            self.client_crypto.compute_mac(b"client-session", request.digestible(), size_hint=32)
 
     # ------------------------------------------------------------------
     # Three phases
     # ------------------------------------------------------------------
+    def _proposal(self, order: int, batch: tuple[Request, ...]) -> _PbftInstance:
+        self._verify_clients(batch)
+        return self._record(self._certified(PrePrepare(self.view, order, batch, self.me)))
+
     def _on_pre_prepare(self, pre_prepare: PrePrepare) -> None:
         order = pre_prepare.order
         if self.config.pillar_of_order(order) != self.index:
@@ -300,32 +209,31 @@ class PbftPillar(Stage):
             return
         if pre_prepare.leader != self.config.proposer_of(self.view, order):
             return
-        if not self._in_window(order):
+        if not self.log.in_window(order):
             # ahead of our window (our checkpoint lags): keep it so the
             # proposal is ready once the window advances
-            if self.high_mark < order <= self.high_mark + 2 * self.config.window_size:
-                self._lookahead.setdefault(order, pre_prepare)
+            if self.log.high < order <= self.log.high + 2 * self.config.window_size:
+                self._buffered.setdefault(order, pre_prepare)
             return
-        instance = self._instance(order)
-        if instance.pre_prepare is not None:
-            return  # duplicate (or equivocation, which quorums tolerate)
+        instance = self.log.instance(order)
+        if instance.prepare is not None:
+            # a duplicate: the proposer retransmits because it misses our
+            # votes (an equivocating one is tolerated by the quorums)
+            for vote in (instance.own_prepare, instance.own_commit):
+                if vote is not None:
+                    self.broadcast(self.peers, vote)
+            return
         if not self.certifier.verify(pre_prepare):
             return
-        self._accept_pre_prepare(pre_prepare)
-
-    def _accept_pre_prepare(self, pre_prepare: PrePrepare) -> None:
-        for request in pre_prepare.batch:
-            self.client_crypto.compute_mac(b"client-session", request.digestible(), size_hint=32)
-        order = pre_prepare.order
-        instance = self._instance(order)
-        instance.view = pre_prepare.view
-        instance.pre_prepare = pre_prepare
-        instance.proposal_digest = free_digest(pre_prepare.proposal_digestible())
-        instance.proposed_at_ns = self.now
+        self._verify_clients(pre_prepare.batch)
+        instance = self._record(pre_prepare)
         prepare = self._certified(PbftPrepare(pre_prepare.view, order, self.me, instance.proposal_digest))
         instance.prepare_votes[self.me] = instance.proposal_digest
+        instance.own_prepare = prepare
         self.broadcast(self.peers, prepare)
         self._check_prepared(instance)
+
+    _replay = _on_pre_prepare  # out of order: a buffered proposal is never waiting for its lane
 
     def _on_prepare(self, prepare: PbftPrepare) -> None:
         instance = self._relevant_instance(prepare.view, prepare.order)
@@ -339,17 +247,17 @@ class PbftPillar(Stage):
         self._check_prepared(instance)
 
     def _check_prepared(self, instance: _PbftInstance) -> None:
-        if instance.prepared or instance.pre_prepare is None:
+        if instance.prepared or instance.prepare is None:
             return
         # prepared: the PRE-PREPARE plus 2f matching PREPAREs (the leader
         # does not send a PREPARE; its PRE-PREPARE stands in)
-        votes = instance.matching(instance.prepare_votes) - {instance.pre_prepare.leader}
+        votes = instance.matching(instance.prepare_votes) - {instance.prepare.leader}
         if len(votes) < 2 * self.f_pbft:
             return
         instance.prepared = True
-        bare = PbftCommit(instance.view, instance.order, self.me, instance.proposal_digest)
-        commit = self._certified(bare)
+        commit = self._certified(PbftCommit(instance.view, instance.order, self.me, instance.proposal_digest))
         instance.commit_votes[self.me] = instance.proposal_digest
+        instance.own_commit = commit
         self.broadcast(self.peers, commit)
         self._check_committed(instance)
 
@@ -369,56 +277,28 @@ class PbftPillar(Stage):
             return
         if len(instance.matching(instance.commit_votes)) < 2 * self.f_pbft + 1:
             return
-        instance.committed = True
-        self.instances_committed += 1
-        if instance.pre_prepare is not None and instance.pre_prepare.leader == self.me:
-            self._own_inflight = max(0, self._own_inflight - 1)
-            if self._own_inflight == 0 and self.pending:
-                self.sim.schedule(0, self.thread.submit, self._drain_partial, None)
-        if self.exec_address is not None:
-            self.send(
-                self.exec_address,
-                ExecRequest(instance.order, instance.view, instance.pre_prepare.batch),
-            )
-
-    def _drain_partial(self, _arg) -> None:
-        self._advance()
+        self._committed(instance)
 
     def _relevant_instance(self, view: int, order: int) -> _PbftInstance | None:
         if self.config.pillar_of_order(order) != self.index:
             return None
-        if view != self.view or not self._in_window(order):
+        if view != self.view or not self.log.in_window(order):
             return None
-        return self._instance(order)
-
-    def _on_fill_gap(self, message: FillGap) -> None:
-        order = message.order
-        if not self._in_window(order):
-            return
-        if self.config.proposer_of(self.view, order) == self.me:
-            self._fill_own_slot(order)
-            return
-        self.broadcast(self.peers, InstanceFetch(order, self.view))
+        return self.log.instance(order)
 
     def _on_instance_fetch(self, src: Address, message: InstanceFetch) -> None:
         if message.view != self.view:
             return
-        instance = self._instances.get(message.order)
+        instance = self.log.peek(message.order)
         if instance is None:
             return
-        if instance.pre_prepare is not None:
-            if instance.pre_prepare.leader == self.me:
-                self.send(src, instance.pre_prepare)
-            elif instance.committed:
-                # the proposer may have garbage-collected it; committed
-                # instances are safe to relay on its behalf
-                self.send(src, instance.pre_prepare)
-        if self.me in instance.prepare_votes and instance.proposal_digest is not None:
-            bare = PbftPrepare(instance.view, message.order, self.me, instance.proposal_digest)
-            self.send(src, self._certified(bare))
-        if self.me in instance.commit_votes and instance.proposal_digest is not None:
-            bare = PbftCommit(instance.view, message.order, self.me, instance.proposal_digest)
-            self.send(src, self._certified(bare))
+        # the proposer may have garbage-collected a committed instance;
+        # committed ones are safe to relay on its behalf
+        if instance.prepare is not None and (instance.prepare.leader == self.me or instance.committed):
+            self.send(src, instance.prepare)
+        for vote in (instance.own_prepare, instance.own_commit):
+            if vote is not None:
+                self.send(src, vote)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -440,18 +320,10 @@ class PbftPillar(Stage):
             self.send(address, announcement)
         self.checkpoints.apply(order, certificate)
 
-    def _on_checkpoint_stable(self, order: int) -> None:
-        forget_through(self._instances, order)
-        self._proposed_keys = {key: o for key, o in self._proposed_keys.items() if o > order}
-        self.next_own = max(self.next_own, self._first_own_slot_after(order))
+    def _window_advanced(self, order: int) -> None:
         # replay proposals that had arrived ahead of the old window
-        ready = sorted(o for o in self._lookahead if self._in_window(o))
-        forget_through(self._lookahead, order)
-        for o in ready:
-            pre_prepare = self._lookahead.pop(o, None)
-            if pre_prepare is not None:
-                self._on_pre_prepare(pre_prepare)
-        self._advance()
+        for o in sorted(o for o in self._buffered if self.log.in_window(o)):
+            self._on_pre_prepare(self._buffered.pop(o))
 
 
 class PbftReplica:
@@ -556,7 +428,9 @@ class PbftReplica:
         self.handler.exec_address = (node, "exec")
 
     def start(self) -> None:
-        """PBFTcop arms no periodic timers."""
+        """Arm each pillar's retransmission timer."""
+        for pillar in self.pillars:
+            pillar.start()
 
     @property
     def service(self) -> Service:

@@ -11,6 +11,7 @@ mark, which is what bounds its memory (§5.2.2, "Strict Ordering Window").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import WindowViolationError
 from repro.messages.ordering import Commit, Prepare
@@ -32,10 +33,16 @@ class InstanceState:
 
 
 class OrderingLog:
-    """Window-bounded map from order number to :class:`InstanceState`."""
+    """Window-bounded map from order number to per-instance state.
 
-    def __init__(self, window_size: int, low: int = 0):
+    ``instance_type(order)`` makes a fresh instance; its state must carry
+    ``view``, ``prepare`` (the proposal), ``committed`` and
+    ``proposed_at_ns``, as :class:`InstanceState` does.
+    """
+
+    def __init__(self, window_size: int, low: int = 0, instance_type: Callable = InstanceState):
         self.window_size = window_size
+        self.instance_type = instance_type
         # ``low`` is the last checkpointed order (0 = the genesis checkpoint;
         # order numbers start at 1); the window covers (low, low + window_size].
         self.low = low
@@ -57,7 +64,7 @@ class OrderingLog:
             )
         state = self._instances.get(order)
         if state is None:
-            state = InstanceState(order)
+            state = self.instance_type(order)
             self._instances[order] = state
         return state
 

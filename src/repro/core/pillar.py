@@ -15,6 +15,11 @@ A single lane and pillar is exactly the sequential basic protocol
 (HybsterS); multiple pillars (and, with rotation, multiple lanes per
 pillar) parallelize over disjoint counter timelines.
 
+The window, lanes, batching, no-op rotation, gap filling and the
+retransmission of its own proposals come from the ordering skeleton it
+shares with PBFTcop (:mod:`repro.core.ordering`); this module supplies
+Hybster's certification (TrInX), its two phases and its follow rule.
+
 The pillar also runs its share of the checkpointing protocol (the k-th
 checkpoint is coordinated by pillar ``k mod P``) and the pillar-local
 side of the distributed view change: creating its part of split
@@ -25,24 +30,22 @@ coordinator (see :mod:`repro.core.viewchange`).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import replace
 from typing import Any
 
 from repro.core.checkpoint import Checkpoints, forget_through, replica_stages
 from repro.core.config import ReplicaGroupConfig
-from repro.core.log import InstanceState, OrderingLog
+from repro.core.log import InstanceState
+from repro.core.ordering import OrderingStage
 from repro.core.seqnum import flatten, unflatten
 from repro.crypto.costs import JAVA
 from repro.crypto.digests import digest as free_digest
-from repro.crypto.provider import CryptoProvider
 from repro.messages.checkpointing import Checkpoint
 from repro.messages.client import Request
 from repro.messages.internal import (
     AckReady,
     CkReached,
     CkStable,
-    ExecRequest,
     FillGap,
     ForwardAck,
     ForwardNv,
@@ -60,12 +63,12 @@ from repro.messages.internal import (
 )
 from repro.messages.ordering import Commit, InstanceFetch, Prepare
 from repro.messages.viewchange import NewView, NewViewAck, ViewChange
-from repro.sim.process import Address, Endpoint, Stage
+from repro.sim.process import Address, Endpoint
 from repro.sim.resources import SimThread
 from repro.trinx.trinx import TrInX, batch_root
 
 
-class Pillar(Stage):
+class Pillar(OrderingStage):
     """One ordering pillar of a Hybster replica."""
 
     def __init__(
@@ -78,25 +81,8 @@ class Pillar(Stage):
         trinx: TrInX,
         crypto_profile=JAVA,
     ):
-        super().__init__(endpoint, thread, f"pillar{index}")
-        self.config = config
-        self.replica_id = replica_id
-        self.index = index
+        super().__init__(endpoint, thread, config, replica_id, index, crypto_profile)
         self.trinx = trinx
-        # client-session MACs are verified here, on the pillar's core
-        self.client_crypto = CryptoProvider(crypto_profile, charge=endpoint.sim.charge)
-
-        self.view = 0
-        self.view_stable = True
-        self.log = OrderingLog(config.window_size)
-        # per-lane pointer to the next class order to process, ascending
-        self.lane_next: dict[int, int] = {}
-        self._reset_lanes(after=0)
-        self.pending: deque[Request] = deque()
-        self._own_inflight = 0  # own proposals not yet committed (batch pacing)
-        self._linger_deadline: int | None = None  # batch linger window end
-        self._proposed_keys: dict[tuple[str, int], int] = {}  # request key -> order
-        self._buffered_prepares: dict[int, Prepare] = {}
         self._seen_ahead = 0  # highest proposal order observed from peers
         self._gap_timer_armed = False
 
@@ -117,8 +103,6 @@ class Pillar(Stage):
         self._reported_higher_view = 0
 
         self.coordinator = None  # ViewChangeCoordinator, set on pillar 0 only
-        self._timers_started = False
-        self._noop_timer = None
 
         # Certificate verification switch.  Always True in production; the
         # scenario engine flips it off to demonstrate that, without TrInX
@@ -126,30 +110,8 @@ class Pillar(Stage):
         # checker catches the resulting divergence (repro.scenarios).
         self.verify_trinx = True
 
-        # replica id -> the same-index pillar of every peer
-        self.peer_addresses: dict[str, Address] = {
-            rid: (rid, self.name) for rid in config.replica_ids if rid != replica_id
-        }
-        self.peers = list(self.peer_addresses.values())
-        # Wired by the replica.
-        self.exec_address: Address | None = None
-        self.coordinator_address: Address | None = None
-
-        # Metrics.
-        self.proposals = 0
+        self.coordinator_address: Address | None = None  # wired by the replica
         self.commits_sent = 0
-        self.instances_committed = 0
-
-    # ------------------------------------------------------------------
-    # Identity and lane helpers
-    # ------------------------------------------------------------------
-    @property
-    def me(self) -> str:
-        return self.replica_id
-
-    @property
-    def stable_ck_order(self) -> int:
-        return self.checkpoints.stable_order
 
     @property
     def stable_ck_cert(self) -> tuple[Checkpoint, ...]:
@@ -157,38 +119,6 @@ class Pillar(Stage):
 
     def _flatten(self, view: int, order: int) -> int:
         return flatten(view, order, self.config.order_bits)
-
-    @staticmethod
-    def _class_order_at_or_after(candidate: int, index: int, num_pillars: int) -> int:
-        return candidate + (index - candidate) % num_pillars
-
-    def _first_class_order_after(self, order: int) -> int:
-        """Smallest order number of this pillar's class strictly above ``order``."""
-        return self._class_order_at_or_after(order + 1, self.index, self.config.num_pillars)
-
-    def _first_lane_order_after(self, lane: int, order: int) -> int:
-        """Smallest class order of ``lane`` strictly above ``order`` (current view)."""
-        candidate = self._first_class_order_after(order)
-        for _ in range(self.config.num_lanes):
-            if self.config.lane_of(self.view, candidate) == lane:
-                return candidate
-            candidate += self.config.num_pillars
-        raise AssertionError("lane mapping must cycle within num_lanes class steps")
-
-    def _reset_lanes(self, after: int) -> None:
-        """Point every lane at its first class order above ``after``."""
-        for lane in range(self.config.num_lanes):
-            self.lane_next[lane] = self._first_lane_order_after(lane, after)
-
-    def _advance_lane(self, lane: int, processed_order: int) -> None:
-        if self.lane_next[lane] <= processed_order:
-            self.lane_next[lane] = processed_order + self.config.lane_stride
-
-    def start(self) -> None:
-        """Arm periodic timers; called once by the replica builder."""
-        if not self._timers_started:
-            self._timers_started = True
-            self.set_timer(self.config.retransmit_interval_ns, self._on_retransmit_tick)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -237,106 +167,13 @@ class Pillar(Stage):
     # ------------------------------------------------------------------
     # Ordering: proposing
     # ------------------------------------------------------------------
-    def _on_order_request(self, message: OrderRequest) -> None:
-        for request in message.requests:
-            if request.key not in self._proposed_keys:
-                self.pending.append(request)
-        self._advance()
-
-    def _advance(self) -> None:
-        """Progress every lane as far as possible (each strictly ascending)."""
-        if not self.view_stable:
-            return
-        progressed = True
-        while progressed:
-            progressed = False
-            for lane in range(self.config.num_lanes):
-                order = self.lane_next[lane]
-                if not self.log.in_window(order):
-                    continue
-                if self.config.proposer_of(self.view, order) == self.me:
-                    if self.pending and self._batch_ready():
-                        self._propose(order)
-                        progressed = True
-                    elif self.config.rotation and not self.pending:
-                        # our slot gaps the global sequence; release it with
-                        # a no-op unless requests arrive in the grace period
-                        self._arm_noop_timer(order)
-                else:
-                    prepare = self._buffered_prepares.pop(order, None)
-                    if prepare is None:
-                        continue
-                    if prepare.view != self.view:
-                        continue  # stale buffered proposal from an aborted view
-                    if not self._verify_prepare(prepare):
-                        continue  # buffered before its turn, so never checked
-                    self._acknowledge(prepare)
-                    progressed = True
-
-    def _arm_noop_timer(self, order: int) -> None:
-        if self._noop_timer is not None:
-            return
-        self._noop_timer = self.set_timer(self.config.noop_delay_ns, self._noop_tick, order)
-
-    def _noop_tick(self, order: int) -> None:
-        self._noop_timer = None
-        if self.view_stable:
-            self._fill_own_slot(order)
-
-    def _fill_own_slot(self, order: int) -> None:
-        """Propose at ``order``, empty if need be, if it is our lane's next slot."""
-        lane = self.config.lane_of(self.view, order)
-        if order == self.lane_next.get(lane) and self.config.proposer_of(self.view, order) == self.me:
-            self._propose(order, allow_empty=True)
-            self._advance()
-
-    def _batch_ready(self) -> bool:
-        """Adaptive batching: full batch, or an idle pipeline (low load).
-
-        With ``batch_linger_ns > 0`` an idle pipeline holds a partial
-        batch for the linger window before releasing it, trading a little
-        latency for fuller batches under light load.
-        """
-        if len(self.pending) >= self.config.batch_size:
-            return True
-        if self._own_inflight > 0:
-            return False
-        if self.config.batch_linger_ns == 0:
-            return True
-        if self._linger_deadline is None:
-            self._linger_deadline = self.now + self.config.batch_linger_ns
-            self.set_timer(self.config.batch_linger_ns, self._linger_tick)
-            return False
-        return self.now >= self._linger_deadline
-
-    def _linger_tick(self) -> None:
-        if self._linger_deadline is not None and self.pending:
-            self._advance()
-
-    def _take_batch(self) -> tuple[Request, ...]:
-        batch: list[Request] = []
-        while self.pending and len(batch) < self.config.batch_size:
-            request = self.pending.popleft()
-            if request.key in self._proposed_keys:
-                continue
-            batch.append(request)
-        return tuple(batch)
-
-    def _propose(self, order: int, allow_empty: bool = False) -> None:
-        batch = self._take_batch()
-        self._linger_deadline = None
-        if not batch and not allow_empty:
-            return
+    def _proposal(self, order: int, batch: tuple[Request, ...]) -> InstanceState:
         lane = self.config.lane_of(self.view, order)
         instance = self._certify_proposal(Prepare(self.view, order, batch, self.me), lane)
         certificate = instance.prepare.certificate
-        self.proposals += 1
         self.trace("propose", (self.view, order, len(batch)))
         self.trace("counter-cert", (certificate.counter, certificate.new_value))
-        self._own_inflight += 1
-        self._advance_lane(lane, order)
-        self.broadcast(self.peers, instance.prepare)
-        self._check_committed(instance)
+        return instance
 
     def _certify_proposal(self, bare: Prepare, lane: int) -> InstanceState:
         """Certify our proposal on ``lane``'s counter and record its instance."""
@@ -355,8 +192,6 @@ class Pillar(Stage):
             leaves,
         )
         prepare = replace(bare, certificate=certificate, batch_digest=batch_root(leaves))
-        for request in bare.batch:
-            self._proposed_keys[request.key] = bare.order
         return self._record(prepare, {self.me})
 
     def _record(self, prepare: Prepare, acknowledgments: set[str]) -> InstanceState:
@@ -393,7 +228,7 @@ class Pillar(Stage):
             # ahead of our window (our checkpoint lags): keep one window's
             # worth of lookahead so the proposal is ready once we advance
             if self.log.high < order <= self.log.high + self.config.window_size:
-                self._buffered_prepares.setdefault(order, prepare)
+                self._buffered.setdefault(order, prepare)
             self._note_gap()
             return
         if not self.view_stable:
@@ -401,7 +236,7 @@ class Pillar(Stage):
             # flight): keep the proposal for when the view settles, and
             # nudge the coordinator — live ordering traffic means the view
             # established without us, so our VIEW-CHANGE may need resending
-            self._buffered_prepares.setdefault(order, prepare)
+            self._buffered.setdefault(order, prepare)
             self._nudge_unstable()
             return
         lane = self.config.lane_of(self.view, order)
@@ -409,13 +244,21 @@ class Pillar(Stage):
             self._re_acknowledge(prepare)
             return
         if order > self.lane_next[lane]:
-            self._buffered_prepares.setdefault(order, prepare)
+            self._buffered.setdefault(order, prepare)
             self._note_gap()
             return
         if not self._verify_prepare(prepare):
             return
         self._acknowledge(prepare)
         self._advance()
+
+    def _replay(self, prepare: Prepare) -> bool:
+        if prepare.view != self.view:
+            return False  # stale buffered proposal from an aborted view
+        if not self._verify_prepare(prepare):
+            return False  # buffered before its turn, so never checked
+        self._acknowledge(prepare)
+        return True
 
     def _verify_prepare(self, prepare: Prepare, in_view_change: bool = False) -> bool:
         """Validate a PREPARE's independent counter certificate.
@@ -544,21 +387,7 @@ class Pillar(Stage):
             return
         if len(instance.acknowledgments) < self.config.quorum_size:
             return
-        instance.committed = True
-        self.instances_committed += 1
-        if instance.prepare is not None and instance.prepare.leader == self.me:
-            self._own_inflight = max(0, self._own_inflight - 1)
-            if self._own_inflight == 0 and self.pending:
-                # the pipeline drained: release a (possibly partial) batch
-                self.sim.schedule(0, self.thread.submit, self._drain_partial, None)
-        if self.exec_address is not None:
-            self.send(
-                self.exec_address,
-                ExecRequest(instance.order, instance.view, instance.prepare.batch),
-            )
-
-    def _drain_partial(self, _arg) -> None:
-        self._advance()
+        self._committed(instance)
 
     _last_unstable_nudge_ns = -1_000_000_000
 
@@ -617,23 +446,12 @@ class Pillar(Stage):
             for order in range(min(self.lane_next.values()), horizon + 1)
             if self.config.pillar_of_order(order) == self.index
             and order >= self.lane_next[self.config.lane_of(self.view, order)]
-            and order not in self._buffered_prepares
+            and order not in self._buffered
         ]
         for order in missing:
             self.broadcast(self.peers, InstanceFetch(order, self.view))
         if missing:
             self._note_gap()  # keep probing until the holes close
-
-    def _on_fill_gap(self, message: FillGap) -> None:
-        order = message.order
-        if not self.view_stable:
-            return
-        if self.config.proposer_of(self.view, order) == self.me:
-            self._fill_own_slot(order)
-            return
-        # not ours: the instance stalls locally (lost PREPARE or COMMITs) —
-        # ask the peers to retransmit their ordering messages for it
-        self.broadcast(self.peers, InstanceFetch(order, self.view))
 
     def _on_instance_fetch(self, src: Address, message: InstanceFetch) -> None:
         if message.view != self.view or not self.view_stable:
@@ -646,23 +464,9 @@ class Pillar(Stage):
         elif instance.own_commit is not None:
             self.send(src, instance.own_commit)
 
-    # ------------------------------------------------------------------
-    # Retransmission and suspicion
-    # ------------------------------------------------------------------
-    def _on_retransmit_tick(self) -> None:
-        if self.view_stable:
-            now = self.now
-            oldest_age = 0
-            for instance in self.log.uncommitted():
-                if instance.view != self.view:
-                    continue  # stale leftovers of an aborted view
-                age = now - instance.proposed_at_ns
-                oldest_age = max(oldest_age, age)
-                if instance.prepare.leader == self.me and age > self.config.retransmit_interval_ns:
-                    self.broadcast(self.peers, instance.prepare)
-            if oldest_age > self.config.viewchange_timeout_ns:
-                self._suspect(f"pillar {self.index}: instance without quorum for {oldest_age} ns")
-        self.set_timer(self.config.retransmit_interval_ns, self._on_retransmit_tick)
+    def _check_progress(self, oldest_age_ns: int) -> None:
+        if oldest_age_ns > self.config.viewchange_timeout_ns:
+            self._suspect(f"pillar {self.index}: instance without quorum for {oldest_age_ns} ns")
 
     # ------------------------------------------------------------------
     # Checkpointing (shared: this pillar runs checkpoints k with k mod P == index)
@@ -692,16 +496,10 @@ class Pillar(Stage):
         if self.coordinator_address is not None:
             self.send(self.coordinator_address, RequestState(order, source))
 
-    def _on_checkpoint_stable(self, order: int) -> None:
+    def _window_advanced(self, order: int) -> None:
         self.trace("checkpoint-stable", order)
-        self.log.advance(order)
-        for lane in range(self.config.num_lanes):
-            self.lane_next[lane] = max(self.lane_next[lane], self._first_lane_order_after(lane, order))
-        forget_through(self._buffered_prepares, order)
-        self._proposed_keys = {key: o for key, o in self._proposed_keys.items() if o > order}
         if self.coordinator is not None:
             self.coordinator.note_checkpoint(order, self.stable_ck_cert)
-        self._advance()
 
     # ------------------------------------------------------------------
     # View change: pillar-local duties
@@ -717,7 +515,7 @@ class Pillar(Stage):
         self.view = message.v_to
         self.view_stable = False
         self._own_inflight = 0
-        self._buffered_prepares.clear()
+        self._buffered.clear()
         bare = ViewChange(
             replica=self.me,
             v_from=message.v_from,
@@ -816,6 +614,7 @@ class Pillar(Stage):
             if order <= floor:
                 continue  # covered by a checkpoint reached meanwhile
             bare = Prepare(message.v_to, order, batch, self.me, reproposal=True)
+            self._claim(batch, order)
             new_prepares.append(self._certify_proposal(bare, lane).prepare)
             max_order = max(max_order, order)
         self._reset_lanes(after=max_order)

@@ -198,6 +198,9 @@ def assemble(
         raise ConfigurationError(
             f"unknown crypto profile {spec.crypto_profile!r}; expected one of {CRYPTO_PROFILES}"
         )
+    if spec.protocol == "minbft" and spec.batch_linger_ns:
+        # MinBFT's single stage proposes with no linger timer
+        raise ConfigurationError("minbft does not hold partial batches: batch_linger_ns must be 0")
 
     def local(node: str) -> bool:
         return nodes is None or node in nodes

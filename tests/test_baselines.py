@@ -73,7 +73,7 @@ class TestPbftCop:
         for replica in replicas:
             pillar = replica.pillars[0]
             assert pillar.stable_ck_order > 0
-            assert all(order > pillar.stable_ck_order for order in pillar._instances)
+            assert all(order > pillar.stable_ck_order for order in pillar.log._instances)
 
     def test_rotation_balances_proposals(self):
         sim, _net, replicas, clients = build_cluster("pbft", rotation=True, clients=8)
@@ -217,3 +217,34 @@ class TestProposedKeysPruned:
             stage for replica in deployment.replicas for stage in getattr(replica, "pillars", [replica])
         ]
         assert max(len(stage._proposed_keys) for stage in proposers) <= spec.window_size * spec.batch_size
+
+
+class TestBatchLinger:
+    """``batch_linger_ns`` holds a partial batch on an idle pipeline."""
+
+    LINGER_NS = 5_000_000
+
+    @pytest.mark.parametrize("protocol", ["hybster-s", "pbft", "hybrid-pbft"])
+    def test_lone_request_waits_for_the_linger_window(self, protocol):
+        from repro.runtime.deployment import DeploymentSpec, build_deployment
+
+        spec = DeploymentSpec(
+            protocol=protocol, cores=1, num_clients=1, client_window=1, client_machines=1,
+            batch_size=8, batch_linger_ns=self.LINGER_NS,
+        )
+        deployment = build_deployment(spec)
+        pillars = [pillar for replica in deployment.replicas for pillar in replica.pillars]
+        deployment.start_clients()
+        deployment.sim.run(until=self.LINGER_NS // 2)
+        # the request reached the proposer, which holds it instead of proposing
+        assert sum(pillar.proposals for pillar in pillars) == 0
+        assert sum(len(pillar.pending) for pillar in pillars) == 1
+        deployment.sim.run(until=4 * self.LINGER_NS)
+        assert sum(pillar.proposals for pillar in pillars) >= 1
+        assert deployment.clients[0].completed >= 1
+
+    def test_minbft_rejects_linger(self):
+        from repro.runtime.deployment import DeploymentSpec, build_deployment
+
+        with pytest.raises(ConfigurationError):
+            build_deployment(DeploymentSpec(protocol="minbft", batch_linger_ns=self.LINGER_NS))

@@ -299,14 +299,18 @@ def test_livenode_cli_runs_one_node():
     import signal
     import time
 
+    from repro.scenarios.livenode import find_base_port
+    from repro.scenarios.spec import load_scenario
+
     spec_path = os.path.join(
         REPO_ROOT, "scenarios", "live-hybster-s-processes-loss.toml"
     )
+    base_port = find_base_port(load_scenario(spec_path).deployment_spec())
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     child = subprocess.Popen(
         [
             sys.executable, "-m", "repro.scenarios.livenode",
-            "--spec", spec_path, "--node", "r0", "--base-port", "46880",
+            "--spec", spec_path, "--node", "r0", "--base-port", str(base_port),
         ],
         stdout=subprocess.PIPE,
         env=env,
